@@ -276,14 +276,10 @@ void report_per_slot_costs(pcn::obs::BenchReport& report) {
   constexpr int kReps = 3;
   const SlotCost reference =
       best_slot_cost(pcn::sim::SimEngine::kReference, terminals, slots, kReps);
-  const SlotCost soa =
-      best_slot_cost(pcn::sim::SimEngine::kSoa, terminals, slots, kReps);
   report.set("per_slot_terminals", static_cast<double>(terminals))
       .set("per_slot_slots", static_cast<double>(slots))
       .set("per_slot_ns_reference", reference.ns)
-      .set("per_slot_cycles_reference", reference.cycles)
-      .set("per_slot_ns_soa", soa.ns)
-      .set("per_slot_cycles_soa", soa.cycles);
+      .set("per_slot_cycles_reference", reference.cycles);
   const pcn::sim::SimdSupport simd = pcn::sim::simd_support();
   report.set("per_slot_simd_available", simd.available ? 1.0 : 0.0);
   if (simd.available) {

@@ -183,16 +183,13 @@ GateThroughput measured_throughput(int reps) {
 
 // --- Fleet-scale engine comparison -------------------------------------------
 // The canonical distance-update scenario at fleet scale: the same fleet is
-// run under the reference polymorphic engine, the struct-of-arrays fast
-// path, and (where supported) the SIMD slot-loop engine, sequentially.
-// Reference and SoA must agree on every per-terminal metric bit (checked
-// via a digest so neither metric set has to stay resident).  The SIMD
-// engine draws from counter-keyed Philox streams, so it is held to a
-// statistical contract instead: its fleet-aggregate event counts must land
-// within binomial noise of the SoA run.  The report carries the three slot
-// throughputs, the SoA 4-thread speedup over reference, the single-thread
-// simd_speedup over SoA (the acceptance metric), and each fast engine's
-// flat per-terminal footprint.
+// run under the reference polymorphic engine and (where supported) the
+// SIMD slot-loop engine, sequentially.  The two draw through one
+// per-(terminal, slot) contract, so they must agree on every per-terminal
+// metric bit (checked via a digest so neither metric set has to stay
+// resident), at 4 threads and at 1.  The report carries the slot
+// throughputs, the SIMD 4-thread speedup over reference, and the SIMD
+// engine's flat per-terminal footprint.
 //
 // Defaults to a 10M-terminal fleet; override with PCN_SCALE_TERMINALS and
 // PCN_SCALE_SLOTS for smoke runs (run_checks.sh gate 4 does).
@@ -254,11 +251,6 @@ struct EngineRun {
   double slots_per_sec = 0;        ///< terminal-slots per second
   std::uint64_t digest = 0;        ///< all per-terminal metrics folded
   std::size_t bytes_per_terminal = 0;
-  // Fleet-aggregate event counts, for the SIMD statistical cross-check.
-  double moves = 0;
-  double calls = 0;
-  double updates = 0;
-  double polled = 0;
 };
 
 EngineRun timed_engine_run(pcn::sim::SimEngine engine, int threads) {
@@ -280,85 +272,49 @@ EngineRun timed_engine_run(pcn::sim::SimEngine engine, int threads) {
   run.slots_per_sec =
       static_cast<double>(kScaleSlots * kScaleTerminals) /
       (static_cast<double>(elapsed_ns) * 1e-9);
-  run.bytes_per_terminal = engine == pcn::sim::SimEngine::kSimd
-                               ? network.simd_bytes_per_terminal()
-                               : network.soa_bytes_per_terminal();
+  run.bytes_per_terminal = network.simd_bytes_per_terminal();
   MetricsDigest digest;
   for (std::int64_t i = 0; i < kScaleTerminals; ++i) {
-    const auto& m = network.metrics(static_cast<pcn::sim::TerminalId>(i));
-    digest.fold(m);
-    run.moves += static_cast<double>(m.moves);
-    run.calls += static_cast<double>(m.calls);
-    run.updates += static_cast<double>(m.updates);
-    run.polled += static_cast<double>(m.polled_cells);
+    digest.fold(network.metrics(static_cast<pcn::sim::TerminalId>(i)));
   }
   run.digest = digest.value();
   return run;
 }
 
-/// Fleet-aggregate counts from two engines with independent RNG streams
-/// must agree to within binomial noise; 2% relative is > 5 sigma at any
-/// fleet size run_checks smoke-tests with, and ~500 sigma at the 10M
-/// default.
-bool aggregates_consistent(const EngineRun& a, const EngineRun& b,
-                           const char* what) {
-  const auto close = [](double x, double y) {
-    const double scale = std::max({std::abs(x), std::abs(y), 1.0});
-    return std::abs(x - y) / scale <= 0.02;
-  };
-  const bool ok = close(a.moves, b.moves) && close(a.calls, b.calls) &&
-                  close(a.updates, b.updates) && close(a.polled, b.polled);
-  if (!ok) {
-    std::fprintf(stderr,
-                 "perf_scale: %s aggregate counts diverged beyond noise "
-                 "(moves %.0f vs %.0f, calls %.0f vs %.0f, updates %.0f vs "
-                 "%.0f, polled %.0f vs %.0f)\n",
-                 what, a.moves, b.moves, a.calls, b.calls, a.updates,
-                 b.updates, a.polled, b.polled);
-  }
-  return ok;
-}
-
-/// Runs the engine trio, reports throughput/speedup/footprint, and fails
-/// the bench (non-zero exit) on reference-vs-soa metric divergence or a
-/// SIMD aggregate outside statistical noise.
+/// Runs the reference and SIMD engines, reports throughput/speedup/
+/// footprint, and fails the bench (non-zero exit) when any SIMD run's
+/// metrics diverge from the reference run's.
 bool run_engine_comparison(pcn::obs::BenchReport& report) {
   const EngineRun reference =
       timed_engine_run(pcn::sim::SimEngine::kReference, kScaleThreads);
-  const EngineRun soa =
-      timed_engine_run(pcn::sim::SimEngine::kSoa, kScaleThreads);
-  const bool identical = reference.digest == soa.digest;
   report.set("scale_terminals", static_cast<double>(kScaleTerminals))
       .set("scale_slots", static_cast<double>(kScaleSlots))
-      .set("reference_slots_per_sec", reference.slots_per_sec)
-      .set("soa_slots_per_sec", soa.slots_per_sec)
-      .set("soa_speedup_4t", soa.slots_per_sec / reference.slots_per_sec)
-      .set("soa_bytes_per_terminal",
-           static_cast<double>(soa.bytes_per_terminal))
+      .set("reference_slots_per_sec", reference.slots_per_sec);
+  const pcn::sim::SimdSupport simd = pcn::sim::simd_support();
+  report.set("simd_available", simd.available ? 1.0 : 0.0);
+  if (!simd.available) return true;
+  const EngineRun simd_4t =
+      timed_engine_run(pcn::sim::SimEngine::kSimd, kScaleThreads);
+  const EngineRun simd_1t = timed_engine_run(pcn::sim::SimEngine::kSimd, 1);
+  const bool identical = reference.digest == simd_4t.digest &&
+                         reference.digest == simd_1t.digest;
+  report.set("simd_slots_per_sec", simd_4t.slots_per_sec)
+      .set("simd_speedup_4t",
+           simd_4t.slots_per_sec / reference.slots_per_sec)
+      .set("simd_1t_slots_per_sec", simd_1t.slots_per_sec)
+      .set("simd_bytes_per_terminal",
+           static_cast<double>(simd_4t.bytes_per_terminal))
+      .set("simd_avx2", simd.isa == pcn::sim::SimdIsa::kAvx2 ? 1.0 : 0.0)
       .set("engines_bit_identical", identical ? 1.0 : 0.0);
   if (!identical) {
     std::fprintf(stderr,
-                 "perf_scale: engine comparison DIVERGED "
-                 "(reference digest %016llx != soa digest %016llx)\n",
+                 "perf_scale: engine comparison DIVERGED (reference digest "
+                 "%016llx, simd 4-thread %016llx, simd 1-thread %016llx)\n",
                  static_cast<unsigned long long>(reference.digest),
-                 static_cast<unsigned long long>(soa.digest));
+                 static_cast<unsigned long long>(simd_4t.digest),
+                 static_cast<unsigned long long>(simd_1t.digest));
   }
-  // The acceptance metric is single-thread SIMD over single-thread SoA, so
-  // vector width — not thread fan-out — explains the ratio.
-  const pcn::sim::SimdSupport simd = pcn::sim::simd_support();
-  report.set("simd_available", simd.available ? 1.0 : 0.0);
-  if (!simd.available) return identical;
-  const EngineRun soa_1t = timed_engine_run(pcn::sim::SimEngine::kSoa, 1);
-  const EngineRun simd_1t = timed_engine_run(pcn::sim::SimEngine::kSimd, 1);
-  const bool consistent = aggregates_consistent(soa_1t, simd_1t, "soa-vs-simd");
-  report.set("soa_1t_slots_per_sec", soa_1t.slots_per_sec)
-      .set("simd_1t_slots_per_sec", simd_1t.slots_per_sec)
-      .set("simd_speedup", simd_1t.slots_per_sec / soa_1t.slots_per_sec)
-      .set("simd_bytes_per_terminal",
-           static_cast<double>(simd_1t.bytes_per_terminal))
-      .set("simd_avx2", simd.isa == pcn::sim::SimdIsa::kAvx2 ? 1.0 : 0.0)
-      .set("simd_counts_consistent", consistent ? 1.0 : 0.0);
-  return identical && consistent;
+  return identical;
 }
 
 }  // namespace

@@ -52,6 +52,7 @@
 #include "pcn/sim/network.hpp"
 #include "pcn/sim/observer.hpp"
 #include "pcn/sim/paging_policy.hpp"
+#include "pcn/sim/slot_draw.hpp"
 #include "pcn/sim/terminal.hpp"
 #include "pcn/sim/update_policy.hpp"
 

@@ -77,7 +77,8 @@ bool FleetPlan::build(Network& net, std::string* why) {
                 "slot-major order)");
   }
   if (config.update_loss_prob > 0.0) {
-    return fail("update_loss_prob > 0 injects extra RNG draws");
+    return fail("update_loss_prob > 0 (stale knowledge needs the reference "
+                "engine's recovery paging)");
   }
   const std::size_t n = net.attachments_.size();
   const bool chain = config.semantics == SlotSemantics::kChainFaithful;

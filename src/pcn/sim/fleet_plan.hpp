@@ -1,16 +1,13 @@
-// The validated flat plan for the canonical distance-update scenario,
-// shared by the fast-path slot-loop engines (soa_engine, simd_engine).
+// The validated flat plan for the canonical distance-update scenario, the
+// static half of the SIMD fast path (simd_engine).
 //
-// Both engines accept exactly the same fleets: every attached terminal
-// must be the paper's canonical configuration — RandomWalk mobility,
+// The fast path accepts only fleets where every attached terminal is the
+// paper's canonical configuration — RandomWalk mobility,
 // DistanceUpdatePolicy, SDF (or matching plan-partition) paging over
 // fixed-disk knowledge, no observer, no loss injection.  FleetPlan::build
 // verifies that and flattens the per-terminal constants (rates, threshold,
 // frame-byte constants) into plain arrays, pre-resolving each distinct
-// paging partition into a lookup table indexed by polling cycle.  The
-// engines differ only in how they evolve the dynamic state over a slot
-// range; everything static lives here so their eligibility rules and
-// byte accounting can never drift apart.
+// paging partition into a lookup table indexed by polling cycle.
 #pragma once
 
 #include <cstdint>

@@ -21,8 +21,10 @@ struct TerminalMetrics {
   std::int64_t updates = 0;  ///< location updates sent
   std::int64_t polled_cells = 0;  ///< cells polled across all pages
 
-  double update_cost = 0.0;  ///< updates · U
-  double paging_cost = 0.0;  ///< polled_cells · V (accumulated per page)
+  /// updates · U and polled_cells · V, set from the counts at the end of
+  /// each Network::run.
+  double update_cost = 0.0;
+  double paging_cost = 0.0;
 
   /// Air-interface bytes, from the proto codec: location-update frames,
   /// and page request/response frames respectively.

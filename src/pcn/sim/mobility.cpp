@@ -1,16 +1,19 @@
 #include "pcn/sim/mobility.hpp"
 
 #include "pcn/common/error.hpp"
+#include "pcn/geometry/hex.hpp"
 
 namespace pcn::sim {
 namespace {
 
+/// The neighbor of `from` the direction draw picks: a hex_directions()
+/// step in 2-D, a ±1 step along the line in 1-D.
 geometry::Cell uniform_neighbor(Dimension dim, geometry::Cell from,
-                                stats::Rng& rng) {
-  const std::vector<geometry::Cell> neighbors =
-      geometry::cell_neighbors(dim, from);
-  const std::uint64_t pick = rng.next_below(neighbors.size());
-  return neighbors[static_cast<std::size_t>(pick)];
+                                DirectionDraw direction) {
+  if (dim == Dimension::kOneD) return {from.q + direction.line_step(), from.r};
+  return geometry::hex_add(
+      from,
+      geometry::hex_directions()[static_cast<std::size_t>(direction.hex())]);
 }
 
 }  // namespace
@@ -24,8 +27,8 @@ RandomWalk::RandomWalk(Dimension dim, double move_prob)
 double RandomWalk::move_probability(SimTime) const { return move_prob_; }
 
 geometry::Cell RandomWalk::move_target(geometry::Cell from, SimTime,
-                                       stats::Rng& rng) const {
-  return uniform_neighbor(dim_, from, rng);
+                                       DirectionDraw direction) const {
+  return uniform_neighbor(dim_, from, direction);
 }
 
 std::string RandomWalk::name() const { return "random-walk"; }
@@ -56,8 +59,8 @@ double PhasedRandomWalk::move_probability(SimTime now) const {
 }
 
 geometry::Cell PhasedRandomWalk::move_target(geometry::Cell from, SimTime,
-                                             stats::Rng& rng) const {
-  return uniform_neighbor(dim_, from, rng);
+                                             DirectionDraw direction) const {
+  return uniform_neighbor(dim_, from, direction);
 }
 
 std::string PhasedRandomWalk::name() const { return "phased-random-walk"; }

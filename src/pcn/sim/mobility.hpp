@@ -13,7 +13,7 @@
 
 #include "pcn/geometry/cell.hpp"
 #include "pcn/sim/event_queue.hpp"
-#include "pcn/stats/rng.hpp"
+#include "pcn/sim/slot_draw.hpp"
 
 namespace pcn::sim {
 
@@ -26,9 +26,10 @@ class MobilityModel {
   /// draw the move event; also what an oracle estimator would know).
   virtual double move_probability(SimTime now) const = 0;
 
-  /// Destination given that a move happens at `now` from `from`.
+  /// Destination given that a move happens at `now` from `from`;
+  /// `direction` is the slot's direction draw (see slot_draw.hpp).
   virtual geometry::Cell move_target(geometry::Cell from, SimTime now,
-                                     stats::Rng& rng) const = 0;
+                                     DirectionDraw direction) const = 0;
 
   virtual std::string name() const = 0;
 };
@@ -40,7 +41,7 @@ class RandomWalk final : public MobilityModel {
 
   double move_probability(SimTime now) const override;
   geometry::Cell move_target(geometry::Cell from, SimTime now,
-                             stats::Rng& rng) const override;
+                             DirectionDraw direction) const override;
   std::string name() const override;
 
   Dimension dimension() const { return dim_; }
@@ -63,7 +64,7 @@ class PhasedRandomWalk final : public MobilityModel {
 
   double move_probability(SimTime now) const override;
   geometry::Cell move_target(geometry::Cell from, SimTime now,
-                             stats::Rng& rng) const override;
+                             DirectionDraw direction) const override;
   std::string name() const override;
 
  private:

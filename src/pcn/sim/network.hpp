@@ -28,6 +28,7 @@
 #include "pcn/sim/metrics.hpp"
 #include "pcn/sim/observer.hpp"
 #include "pcn/sim/paging_policy.hpp"
+#include "pcn/sim/slot_draw.hpp"
 #include "pcn/sim/terminal.hpp"
 
 namespace pcn::obs {
@@ -40,31 +41,24 @@ enum class SlotSemantics { kChainFaithful, kIndependent };
 
 /// Which slot-loop implementation Network::run uses.
 ///
-///   * kAuto      — take the struct-of-arrays fast path whenever every
+///   * kAuto      — take the lane-parallel SIMD fast path whenever every
 ///     terminal matches the canonical scenario (RandomWalk mobility,
 ///     DistanceUpdatePolicy, SDF/plan-partition paging over fixed-disk
-///     knowledge, no observer, no loss injection); otherwise fall back to
-///     the polymorphic reference engine.
+///     knowledge, no observer, no loss injection) and a kernel is
+///     available; otherwise fall back to the polymorphic reference engine.
 ///   * kReference — always run the polymorphic engine.
-///   * kSoa       — require the fast path; run() throws InvalidArgument
-///     (naming the first non-canonical terminal) when it cannot be taken.
-///   * kSimd      — require the lane-parallel SIMD fast path (AVX2 with a
-///     portable scalar fallback, runtime-detected; see simd_engine.hpp).
-///     Never selected by kAuto: the SIMD engine draws from counter-based
-///     per-(terminal, slot) streams instead of the sequential per-terminal
-///     streams, so its metrics are *statistically* — not bit- —
-///     equivalent to the other engines (gated by the tier-2 oracle suite
-///     in tests/property/test_prop_simd_statistical.cpp).  run() throws
-///     InvalidArgument when the fleet is non-canonical, flight recording
-///     is on, or PCN_SIMD_ISA=none disabled every kernel.
+///   * kSimd      — require the SIMD fast path (AVX2 with a portable scalar
+///     fallback, runtime-detected; see simd_engine.hpp).  run() throws
+///     InvalidArgument (naming the first non-canonical terminal) when the
+///     fleet is non-canonical, or when PCN_SIMD_ISA=none disabled every
+///     kernel.
 ///
-/// The reference and soa engines produce bit-identical TerminalMetrics at
-/// every thread count (tests/sim/test_soa_engine.cpp); the simd engine is
-/// itself deterministic across runs and thread counts, just on its own
-/// draw streams.
-enum class SimEngine { kAuto, kReference, kSoa, kSimd };
+/// Both engines draw through the same per-(terminal, slot) contract
+/// (slot_draw.hpp), so they produce bit-identical TerminalMetrics and
+/// flight recordings at every thread count (tests/sim/
+/// test_engine_identity.cpp).
+enum class SimEngine { kAuto, kReference, kSimd };
 
-class SoaEngine;
 class SimdEngine;
 struct FleetPlan;
 
@@ -106,9 +100,9 @@ struct NetworkConfig {
   double update_loss_prob = 0.0;
   /// Worker threads for Network::run: 1 (default) runs single-threaded,
   /// 0 uses one thread per hardware thread, N > 1 uses exactly N.
-  /// Terminals are fully independent (per-terminal split RNG streams,
-  /// disjoint location-server entries), so metrics are bit-identical for
-  /// every thread count.  Runs with an observer attached always execute
+  /// Terminals are fully independent (per-(terminal, slot) counter-based
+  /// draws, disjoint location-server entries), so metrics are bit-identical
+  /// for every thread count.  Runs with an observer attached always execute
   /// single-threaded to keep the callback order stable.
   int threads = 1;
   /// Collect runtime telemetry (counters, timers, trace spans) into
@@ -135,8 +129,7 @@ struct NetworkConfig {
   /// events and counts them.
   std::size_t flight_shard_capacity = 0;
   /// Capacity of the hot-path span trace ring (collect_runtime_stats),
-  /// rounded up to a power of two.  The PCN_TRACE_RING_CAPACITY
-  /// environment variable overrides this at Network construction.
+  /// rounded up to a power of two.
   std::size_t trace_ring_capacity = 256;
   /// Run-timeline capture: sample the metrics registry into a
   /// pcn.timeseries.v1 recording every N slots (0 = off).  Implies
@@ -221,16 +214,12 @@ class Network {
   /// for the SLA verdicts.
   const PagingPolicy& paging_policy(TerminalId id) const;
 
+  /// Always false: the struct-of-arrays engine was removed in favour of
+  /// the SIMD engine.  perfbench/sim_fleet.cpp still reports it.
+  bool soa_active() const { return false; }
+
   /// True when the last run() (or the one in progress) took the
-  /// struct-of-arrays fast path for its event-free slot ranges.
-  bool soa_active() const { return soa_ != nullptr; }
-
-  /// Flat per-terminal footprint of the active SoA engine in bytes
-  /// (bench/perf_scale reports it), or 0 when the reference engine ran.
-  std::size_t soa_bytes_per_terminal() const;
-
-  /// True when the last run() used the lane-parallel SIMD engine (only
-  /// under NetworkConfig::engine = kSimd; kAuto never selects it).
+  /// lane-parallel SIMD fast path for its event-free slot ranges.
   bool simd_active() const { return simd_ != nullptr; }
 
   /// The instruction-set path the active SIMD engine runs ("avx2" or
@@ -242,7 +231,6 @@ class Network {
   std::size_t simd_bytes_per_terminal() const;
 
  private:
-  friend class SoaEngine;
   friend class SimdEngine;
   friend struct FleetPlan;
   struct Attachment {
@@ -252,6 +240,8 @@ class Network {
     /// Per-terminal page correlator (shard-safe, and independent of how
     /// terminals interleave across threads).
     std::uint64_t next_page_id = 0;
+    /// The reference engine's chain quad block for this terminal.
+    QuadBlockCache draws;
   };
 
   /// Per-worker scratch space; one instance per shard keeps the paging hot
@@ -285,15 +275,16 @@ class Network {
   void send_update(Attachment& attachment, SimTime now, Scratch& scratch);
   /// config().threads with 0 resolved to the hardware thread count.
   int resolved_threads() const;
-  /// Builds (or rejects) the struct-of-arrays engine for this run,
-  /// honoring NetworkConfig::engine; called at each run() entry.
+  /// Builds (or rejects) the SIMD engine for this run, honoring
+  /// NetworkConfig::engine; called at each run() entry.
   void select_engine();
 
   NetworkConfig config_;
   CostWeights weights_;
   EventQueue events_;
   LocationServer server_;
-  stats::Rng root_rng_;
+  /// Philox key of the per-(terminal, slot) draws (slot_draw.hpp).
+  SlotKey slot_key_;
   std::vector<Attachment> attachments_;
   NetworkObserver* observer_ = nullptr;
   /// Always constructed (cheap, and callers may want their own metrics);
@@ -308,10 +299,8 @@ class Network {
   /// Run-timeline recorder; null unless config_.timeseries_every_slots > 0.
   /// Sampled only from the run() driver thread at segment boundaries.
   std::unique_ptr<obs::TimeseriesRecorder> timeseries_;
-  /// Struct-of-arrays fast path; null when the reference engine is in
-  /// force (non-canonical fleet, or engine = kReference).
-  std::unique_ptr<SoaEngine> soa_;
-  /// Lane-parallel SIMD fast path; non-null only under engine = kSimd.
+  /// Lane-parallel SIMD fast path; null when the reference engine is in
+  /// force (non-canonical fleet, no kernel, or engine = kReference).
   std::unique_ptr<SimdEngine> simd_;
   /// Set when user events ran mid-run: they may have re-targeted policies
   /// (set_threshold) or attached terminals, so the next event-free segment

@@ -1,9 +1,9 @@
 // Pre-resolved telemetry handles for the simulation hot paths.
 //
-// Shared by the polymorphic reference engine (network.cpp) and the
-// struct-of-arrays fast path (soa_engine.cpp): both flush the same
-// per-worker EventTally into the same registry counters, so the metric
-// catalogue (docs/observability.md) is engine-independent.
+// Shared by the polymorphic reference engine (network.cpp) and the SIMD
+// fast path (simd_engine.cpp): both flush the same per-worker EventTally
+// into the same registry counters, so the metric catalogue
+// (docs/observability.md) is engine-independent.
 #pragma once
 
 #include "pcn/obs/metrics.hpp"

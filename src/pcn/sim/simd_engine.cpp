@@ -8,29 +8,132 @@
 #include <thread>
 
 #include "pcn/geometry/cell.hpp"
+#include "pcn/obs/flight_recorder.hpp"
 #include "pcn/obs/timer.hpp"
 #include "pcn/sim/runtime_stats.hpp"
 #include "pcn/sim/simd_kernel.hpp"
 #include "pcn/sim/terminal.hpp"
 #include "pcn/sim/update_policy.hpp"
-#include "pcn/stats/counter_rng.hpp"
 
 namespace pcn::sim {
+
+namespace simd_detail {
+
+/// What the rare path reports beyond the metrics: per-call flight
+/// events (when recording) and the sampled page histograms (when runtime
+/// stats are on).  One per batch, bound to the worker's shard.
+struct RareSink {
+  const obs::FlightRecorder* recorder = nullptr;  ///< null: not recording
+  obs::FlightRecorder::Shard* flight = nullptr;
+  obs_detail::RuntimeStats* stats = nullptr;      ///< null: no telemetry
+  obs_detail::EventTally* tally = nullptr;
+  std::size_t shard = 0;
+  double update_weight = 0.0;
+  double poll_weight = 0.0;
+};
+
+void sink_update(RareSink& sink, const LaneBlock& b, int lane, SimTime t,
+                 std::int64_t dist, std::uint32_t& seq) {
+  if (sink.recorder == nullptr ||
+      !sink.recorder->sampled(static_cast<std::uint64_t>(b.updates[lane]))) {
+    return;
+  }
+  obs::FlightEvent update_event;
+  update_event.slot = t;
+  update_event.terminal = static_cast<std::int64_t>(b.stream(lane));
+  update_event.seq = seq++;
+  update_event.type = obs::FlightEventType::kLocationUpdate;
+  update_event.cost = sink.update_weight;
+  update_event.distance = dist;
+  sink.flight->append(update_event);
+  obs::FlightEvent reset_event;
+  reset_event.slot = t;
+  reset_event.terminal = update_event.terminal;
+  reset_event.seq = seq++;
+  reset_event.type = obs::FlightEventType::kAreaReset;
+  reset_event.cells = b.thr[lane];
+  sink.flight->append(reset_event);
+}
+
+std::int64_t sink_page_begin(RareSink& sink) {
+  if (sink.stats == nullptr ||
+      sink.tally->page_tick++ % obs_detail::kPageSampleEvery != 0) {
+    return -1;
+  }
+  ++sink.tally->page_sampled;
+  return obs::monotonic_ns();
+}
+
+void sink_call(RareSink& sink, const LaneBlock& b, int lane, SimTime t,
+               std::uint64_t call_id, std::int64_t dist, std::size_t h,
+               std::int64_t page_start, std::uint32_t& seq) {
+  const PagingTable& tab = *b.table[lane];
+  if (sink.recorder != nullptr && sink.recorder->sampled(call_id)) {
+    // The same lifecycle the reference engine records: arrival, one
+    // event per polling cycle through the terminal's subarea, found.
+    const auto terminal = static_cast<std::int64_t>(b.stream(lane));
+    obs::FlightEvent arrival;
+    arrival.slot = t;
+    arrival.terminal = terminal;
+    arrival.seq = seq++;
+    arrival.type = obs::FlightEventType::kCallArrival;
+    arrival.call = call_id;
+    arrival.cells = b.thr[lane];
+    arrival.distance = dist;
+    sink.flight->append(arrival);
+    for (std::size_t j = 0; j <= h; ++j) {
+      obs::FlightEvent cycle;
+      cycle.slot = t;
+      cycle.terminal = terminal;
+      cycle.seq = seq++;
+      cycle.type = obs::FlightEventType::kPollCycle;
+      cycle.call = call_id;
+      cycle.cycle = static_cast<std::int32_t>(j);
+      cycle.cells = tab.size[j];
+      cycle.cost = sink.poll_weight * static_cast<double>(tab.size[j]);
+      cycle.ring_lo = tab.ring_lo[j];
+      cycle.ring_hi = tab.ring_hi[j];
+      cycle.found = j == h;
+      sink.flight->append(cycle);
+    }
+    obs::FlightEvent found;
+    found.slot = t;
+    found.terminal = terminal;
+    found.seq = seq++;
+    found.type = obs::FlightEventType::kCallFound;
+    found.call = call_id;
+    found.cycle = static_cast<std::int32_t>(h) + 1;
+    found.cells = tab.cum[h];
+    found.cost = sink.poll_weight * static_cast<double>(tab.cum[h]);
+    found.distance = dist;
+    found.found = true;
+    sink.flight->append(found);
+  }
+  if (page_start >= 0) {
+    // The sampled page's span, as the reference engine's net.page.
+    const std::int64_t elapsed = obs::monotonic_ns() - page_start;
+    sink.stats->page_wall_ns.add(elapsed, sink.shard);
+    sink.stats->trace.record("net.page", page_start, elapsed,
+                             static_cast<std::uint32_t>(sink.shard));
+    sink.stats->page_cycles.observe(static_cast<double>(h + 1), sink.shard);
+    sink.stats->page_polled.observe(static_cast<double>(tab.cum[h]),
+                                    sink.shard);
+  }
+}
+
+}  // namespace simd_detail
 
 namespace {
 
 using simd_detail::kLanes;
 using simd_detail::KernelParams;
 using simd_detail::LaneBlock;
+using simd_detail::RareSink;
 
 /// Terminals per cache-blocked batch (a multiple of kLanes).  The batch's
 /// dynamic lane state plus its slice of the static plan arrays stay well
 /// inside a per-core L2 while the kernels stream over the slot range.
 constexpr std::size_t kBatchLanes = 512;
-
-/// Salt ("pcn-simd") separating the engine's Philox key from every other
-/// stream derived from the network seed (see stats::rng_detail::seed_from).
-constexpr std::uint64_t kSimdKeySalt = 0x70636e2d73696d64ULL;
 
 /// Per-shard reusable lane scratch: the dynamic state, accumulators and
 /// per-terminal histogram rows of one batch.
@@ -117,14 +220,6 @@ bool SimdEngine::prepare(std::string* why) {
     if (why != nullptr) *why = support.reason;
     return false;
   }
-  if (net_.flight_ != nullptr) {
-    if (why != nullptr) {
-      *why =
-          "flight recording requires a bit-exact engine (reference or "
-          "soa): the simd engine has no per-event hot path to record";
-    }
-    return false;
-  }
   if (!plan_.build(net_, why)) return false;
   isa_ = support.isa;
 
@@ -139,17 +234,23 @@ bool SimdEngine::prepare(std::string* why) {
   for (std::size_t i = 0; i < n; ++i) {
     // Chain semantics resolve both events from one draw: call below c,
     // move in [c, c + q).  Independent semantics use separate words.
-    t_call_[i] = stats::threshold32(plan_.c[i]);
-    t_move_[i] = stats::threshold32(chain ? plan_.qc[i] : plan_.q[i]);
+    const std::uint64_t t_call = slot_threshold(plan_.c[i]);
+    const std::uint64_t t_move =
+        slot_threshold(chain ? plan_.qc[i] : plan_.q[i]);
+    if (t_call > 0xFFFFFFFFu || t_move > 0xFFFFFFFFu) {
+      if (why != nullptr) {
+        *why = "terminal " + std::to_string(i) +
+               ": an event probability rounds to 1 in 32-bit fixed point";
+      }
+      return false;
+    }
+    t_call_[i] = static_cast<std::uint32_t>(t_call);
+    t_move_[i] = static_cast<std::uint32_t>(t_move);
     tid_lo_[i] = static_cast<std::uint32_t>(i);
     tid_hi_[i] =
         static_cast<std::uint32_t>(static_cast<std::uint64_t>(i) >> 32);
     table_[i] = &plan_.tables[static_cast<std::size_t>(plan_.table[i])];
   }
-  const stats::CounterRng key =
-      stats::CounterRng::keyed(net_.config_.seed, kSimdKeySalt);
-  key0_ = key.key_lo();
-  key1_ = key.key_hi();
   return true;
 }
 
@@ -166,9 +267,10 @@ void SimdEngine::run_segment(SimTime first, SimTime last,
     run_shard(0, n, first, last, scratch);
     return;
   }
-  // Same fan-out shape as the other engines: worker s owns telemetry
-  // shard s, shard 0 runs on the caller.  The shard boundaries don't
-  // affect results — every lane draws from its own counter stream.
+  // Same fan-out shape as the reference engine: worker s owns shard s
+  // (its telemetry cells and flight-recorder shard), shard 0 runs on the
+  // caller.  The shard boundaries don't affect results — every lane
+  // draws from its own counter stream.
   std::vector<std::exception_ptr> errors(shards);
   std::vector<std::thread> workers;
   workers.reserve(shards - 1);
@@ -177,6 +279,7 @@ void SimdEngine::run_segment(SimTime first, SimTime last,
     workers.emplace_back([this, s, first, last, &shard_begin, &errors] {
       Network::Scratch local;
       local.shard = s;
+      if (net_.flight_ != nullptr) local.flight = &net_.flight_->shard(s);
       try {
         run_shard(shard_begin(s), shard_begin(s + 1), first, last, local);
       } catch (...) {
@@ -255,9 +358,19 @@ void SimdEngine::run_batch(std::size_t begin, std::size_t end,
   }
 
   KernelParams kp;
-  kp.key0 = key0_;
-  kp.key1 = key1_;
+  kp.key = net_.slot_key_;
   kp.count_bytes = net_.config_.count_signalling_bytes;
+  RareSink sink;
+  if (net_.flight_ != nullptr || net_.stats_ != nullptr) {
+    sink.recorder = net_.flight_.get();
+    sink.flight = scratch.flight;
+    sink.stats = net_.stats_.get();
+    sink.tally = &scratch.tally;
+    sink.shard = scratch.shard;
+    sink.update_weight = net_.weights_.update_cost;
+    sink.poll_weight = net_.weights_.poll_cost;
+    kp.sink = &sink;
+  }
   const bool twod = net_.config_.dimension == Dimension::kTwoD;
   const bool chain =
       net_.config_.semantics == SlotSemantics::kChainFaithful;
@@ -326,12 +439,8 @@ void SimdEngine::run_batch(std::size_t begin, std::size_t end,
   }
 
   // Sync: lane state -> objects + metrics, including the per-terminal
-  // histogram rows (one metrics pass per batch).  Costs are folded in as
-  // weight * count here (the reference engines accumulate per event; the
-  // difference is ulp-level re-association, inside the statistical
-  // equivalence contract).
-  const double update_weight = net_.weights_.update_cost;
-  const double poll_weight = net_.weights_.poll_cost;
+  // histogram rows (one metrics pass per batch).  Costs are set from the
+  // counts at the end of Network::run.
   const std::int64_t range = last - first + 1;
   const bool stats = net_.stats_ != nullptr;
   for (std::size_t k = 0; k < count; ++k) {
@@ -359,8 +468,6 @@ void SimdEngine::run_batch(std::size_t begin, std::size_t end,
     m.updates = s.updates[k];
     m.calls += s.calls[k];
     m.polled_cells += s.polled[k];
-    m.update_cost += update_weight * static_cast<double>(new_updates);
-    m.paging_cost += poll_weight * static_cast<double>(s.polled[k]);
     m.update_bytes += s.upd_bytes[k];
     m.paging_bytes += s.page_bytes[k];
     m.ring_distance.add_counts(s.rd_rows.data() + k * rd_stride,

@@ -1,32 +1,26 @@
 // Lane-parallel SIMD fast path for the canonical distance-update scenario.
 //
-// Same eligibility rules as the SoA engine (shared FleetPlan), different
-// evolution strategy: instead of replaying the reference engine's
-// sequential per-terminal RNG streams, every (terminal, slot) pair draws
-// its event words from a counter-based Philox4x32-10 stream keyed on the
-// network seed (stats/counter_rng.hpp).  That makes each slot a pure
-// function of (key, terminal, slot) — no loop-carried RNG state — so
-// eight terminals evolve per instruction in the AVX2 kernel, with a
-// portable scalar-emulation kernel (bit-identical by construction) as the
+// Eligibility comes from the shared FleetPlan (fleet_plan.hpp).  Every
+// (terminal, slot) pair draws through the counter-based contract of
+// slot_draw.hpp, so each slot is a pure function of (key, terminal,
+// slot) with no loop-carried RNG state: eight terminals evolve per
+// instruction in the AVX2 kernel, with a portable scalar kernel as the
 // universal fallback.  Terminals are processed in cache-blocked batches
 // (kBatchLanes in simd_engine.cpp) sliced into 8-lane kernel blocks.
 //
-// Equivalence contract — weaker than SoA's, by design: metrics are
-// *statistically* equivalent to the reference/soa pair (same distributions;
-// gated by the tier-2 oracle suite in test_prop_simd_statistical.cpp), and
-// the engine is bit-identical to itself across runs, thread counts and
-// ISA paths (tests/sim/test_simd_engine.cpp).  Because draws are
-// counter-indexed, the engine never consumes the terminals' sequential
-// streams: a reference/soa run after a simd segment continues from
-// untouched RNG state.
+// Equivalence contract: the reference engine draws through the same
+// contract, so TerminalMetrics, signalling-byte counts and flight
+// recordings are bit-identical to it at every thread count and on every
+// ISA path (tests/sim/test_engine_identity.cpp, test_simd_engine.cpp).
+// Telemetry keeps every event counter exact (folded in at batch sync);
+// the 1-in-N sampled page detail (net.page span, sim.page.cycles,
+// sim.page.polled_per_call) and flight recording hang off the kernels'
+// scalar rare path.
 //
-// Deliberate limits (prepare() rejects, run() reports via InvalidArgument):
-//   * flight recording — per-event recording needs the bit-exact engines;
+// prepare() rejects (and forced kSimd reports via InvalidArgument):
+//   * a non-canonical fleet, or event thresholds that round to 1 in
+//     32-bit fixed point (the reference engine decides those exactly);
 //   * PCN_SIMD_ISA=none — every kernel disabled (test hook).
-// Telemetry under this engine keeps all event counters exact (folded in at
-// batch sync) but skips the per-page sampled spans/histograms
-// (net.page wall time, page_cycles, page_polled) — there is no per-page
-// hot-path hook to hang them on.  docs/usage.md documents both.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +60,9 @@ class SimdEngine {
   explicit SimdEngine(Network& net);
 
   /// Probes kernel support, verifies the fleet is canonical (FleetPlan),
-  /// rejects flight recording, and (re)builds the flat per-terminal plan,
-  /// the fixed-point event thresholds and the Philox key.  Returns false
-  /// with the first offending condition in `*why` when the engine cannot
-  /// run.
+  /// and (re)builds the flat per-terminal plan and the fixed-point event
+  /// thresholds.  Returns false with the first offending condition in
+  /// `*why` when the engine cannot run.
   bool prepare(std::string* why);
 
   /// Runs the event-free slot range [first, last] over every terminal in
@@ -99,8 +92,7 @@ class SimdEngine {
   Network& net_;
   SimdIsa isa_ = SimdIsa::kPortable;
 
-  /// Static per-terminal plan + interned paging tables (shared shape with
-  /// the SoA engine — see fleet_plan.hpp).
+  /// Static per-terminal plan + interned paging tables (fleet_plan.hpp).
   FleetPlan plan_;
 
   // ---- static lane arrays, rebuilt by prepare() (indexed by attachment
@@ -108,10 +100,6 @@ class SimdEngine {
   std::vector<std::uint32_t> t_call_, t_move_;  ///< fixed-point thresholds
   std::vector<std::uint32_t> tid_lo_, tid_hi_;  ///< Philox stream words
   std::vector<const PagingTable*> table_;       ///< resolved table pointer
-
-  /// Philox key halves, derived from the network seed (see kSimdKeySalt
-  /// in simd_engine.cpp).
-  std::uint32_t key0_ = 0, key1_ = 0;
 };
 
 }  // namespace pcn::sim

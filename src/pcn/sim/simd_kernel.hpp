@@ -10,38 +10,18 @@
 //     instruction, compiled into its own TU with -mavx2 and dispatched
 //     only when cpuid reports AVX2 (simd_engine.cpp).
 //
-// Both kernels perform *identical* integer arithmetic — Philox4x32-10
-// event words, fixed-point threshold compares, LUT walk steps, hex ring
-// distance — and both funnel rare events (location updates, calls)
-// through the shared scalar rare_slot below, so their outputs are
-// bit-identical by construction (tests/sim/test_simd_engine.cpp compares
-// them directly).  That makes the AVX2/portable choice and the thread
-// count invisible in the results; only the counter-based draw streams
-// distinguish the simd engine from the soa/reference pair.
+// Both kernels draw through the per-(terminal, slot) contract in
+// slot_draw.hpp — the portable kernel calls draw_slot itself, the AVX2
+// kernels replicate it lane-wise — and both funnel rare events (location
+// updates, calls) through the shared scalar rare_slot below.  The
+// reference engine (network.cpp) draws through the same contract, so
+// every kernel is bit-identical to it (tests/sim/test_engine_identity.cpp
+// and test_simd_engine.cpp compare them directly): the ISA and the thread
+// count are invisible in the results.
 //
-// Draw mapping.  Chain-faithful slots resolve both events from one draw
-// plus a walk direction, and 16 bits cover each exactly (see below), so
-// one Philox block serves FOUR slots: counter (t >> 2, terminal), with
-// the event halfwords packed into words 0–1 and the direction halfwords
-// into words 2–3 (slot t & 3 reads halfword t & 1 of word (t >> 1) & 1)
-// — quartering the dominant Philox cost.  Independent slots need three
-// full words (move, call, direction) and keep one block per slot:
-// counter (t, terminal), words 0–2.  Both mappings are stateless in t,
-// which is what keeps results independent of segmentation and threading.
-//
-// The 16-bit event draw is *exact*: the halfword is compared against the
-// high halves of the fixed-point thresholds, and only when it ties one
-// of them (probability <= 2^-15) do the low 16 bits matter — those come
-// from a dedicated refinement block (refine16 below, counter high bit
-// set for domain separation), reconstructing a full uniform 32-bit draw.
-// The 16-bit direction draw maps through (d * 6) >> 16, whose per-
-// direction probabilities differ from 1/6 by < 2^-16 — inside the simd
-// engine's statistical-equivalence contract (the event probabilities,
-// where thresholds live, stay bit-exact).
-//
-// Everything here is pure integer: costs (weight * count) and telemetry
-// are folded in by the engine at batch sync, so the kernels never touch
-// floating point and never see the Network.
+// The kernels are pure integer; they never see the Network.  Flight
+// recording and the sampled per-page telemetry hang off rare_slot through
+// an optional RareSink, defined out of line in simd_engine.cpp.
 #pragma once
 
 #include <cstdint>
@@ -49,16 +29,21 @@
 
 #include "pcn/sim/event_queue.hpp"
 #include "pcn/sim/fleet_plan.hpp"
-#include "pcn/stats/counter_rng.hpp"
+#include "pcn/sim/slot_draw.hpp"
 
 namespace pcn::sim::simd_detail {
 
 inline constexpr int kLanes = 8;
 
+/// Flight recorder and sampled page telemetry of one worker shard; see
+/// simd_engine.cpp.
+struct RareSink;
+
 struct KernelParams {
-  std::uint32_t key0 = 0;  ///< counter-RNG key (seed_from(seed, salt))
-  std::uint32_t key1 = 0;
+  SlotKey key;  ///< the network's slot-draw key
   bool count_bytes = true;
+  /// Null unless flight recording or runtime stats are on.
+  RareSink* sink = nullptr;
 };
 
 /// Pointers into one 8-lane block of the batch arrays.  Static plan
@@ -73,6 +58,9 @@ struct LaneBlock {
   const std::int32_t* thr;        ///< distance threshold d
   const std::uint32_t* tid_lo;    ///< Philox stream words (terminal id)
   const std::uint32_t* tid_hi;
+  std::uint64_t stream(int lane) const {
+    return tid_lo[lane] | (std::uint64_t{tid_hi[lane]} << 32);
+  }
   // Cold per-lane state (rare path only).
   std::int64_t* cen_q;            ///< absolute knowledge center
   std::int64_t* cen_r;
@@ -102,6 +90,18 @@ struct LaneBlock {
 inline constexpr std::int32_t kDirQ[8] = {1, 1, 0, -1, -1, 0, 0, 0};
 inline constexpr std::int32_t kDirR[8] = {0, -1, -1, 0, 1, 1, 0, 0};
 
+/// Sink hooks.  sink_update runs before the update counter moves (the
+/// pre-increment ordinal samples the update).  sink_page_begin opens a
+/// call's page — the start clock when the page is sampled for telemetry,
+/// else -1 — and sink_call closes it after the paging.  `seq` numbers the
+/// flight events of the (terminal, slot).
+void sink_update(RareSink& sink, const LaneBlock& b, int lane, SimTime t,
+                 std::int64_t dist, std::uint32_t& seq);
+std::int64_t sink_page_begin(RareSink& sink);
+void sink_call(RareSink& sink, const LaneBlock& b, int lane, SimTime t,
+               std::uint64_t call_id, std::int64_t dist, std::size_t h,
+               std::int64_t page_start, std::uint32_t& seq);
+
 /// Scalar rare-event tail for one lane at slot `t`: the location update
 /// (dist > threshold) and/or the call.  `dist` is the post-move ring
 /// distance; both events reset the relative position, so the slot's
@@ -111,7 +111,9 @@ inline void rare_slot(const KernelParams& kp, const LaneBlock& b, int lane,
                       SimTime t, bool called, std::int64_t dist) {
   using plan_detail::signed_len;
   using plan_detail::varint_len;
+  std::uint32_t seq = 0;
   if (dist > b.thr[lane]) {
+    if (kp.sink != nullptr) sink_update(*kp.sink, b, lane, t, dist, seq);
     b.cen_q[lane] += b.rel_q[lane];
     b.cen_r[lane] += b.rel_r[lane];
     b.rel_q[lane] = 0;
@@ -130,6 +132,8 @@ inline void rare_slot(const KernelParams& kp, const LaneBlock& b, int lane,
     dist = 0;
   }
   if (called) {
+    const std::int64_t page_start =
+        kp.sink != nullptr ? sink_page_begin(*kp.sink) : -1;
     const std::uint64_t call_id = b.page_id[lane]++;
     const PagingTable& tab = *b.table[lane];
     // The containment invariant puts the terminal in the subarea of its
@@ -153,6 +157,9 @@ inline void rare_slot(const KernelParams& kp, const LaneBlock& b, int lane,
     }
     b.pc_rows[lane * b.pc_stride + static_cast<std::int32_t>(h) + 1]++;
     ++b.calls[lane];
+    if (kp.sink != nullptr) {
+      sink_call(*kp.sink, b, lane, t, call_id, dist, h, page_start, seq);
+    }
     b.cen_q[lane] = pq;
     b.cen_r[lane] = pr;
     b.rel_q[lane] = 0;
@@ -162,73 +169,20 @@ inline void rare_slot(const KernelParams& kp, const LaneBlock& b, int lane,
   }
 }
 
-/// Low 16 bits of a boundary refinement draw for (terminal, t): counter
-/// high bit set, which no group counter (t >> 2) can reach, so the
-/// stream is disjoint from the slot draws.  Shared verbatim by both
-/// kernels — part of the bit-identity anchor.
-inline std::uint32_t refine16(const KernelParams& kp, const LaneBlock& b,
-                              int lane, SimTime t) {
-  const auto ut = static_cast<std::uint64_t>(t);
-  const stats::PhiloxWords w = stats::philox4x32(
-      kp.key0, kp.key1, static_cast<std::uint32_t>(ut),
-      static_cast<std::uint32_t>(ut >> 32) | 0x80000000u, b.tid_lo[lane],
-      b.tid_hi[lane]);
-  return w[0] & 0xFFFFu;
-}
-
-/// One lane-slot of the portable kernel: exactly the integer arithmetic
-/// the AVX2 lanes perform, in emission order.
+/// One lane-slot of the portable kernel: the slot_draw.hpp decisions,
+/// then exactly the walk arithmetic the AVX2 lanes perform.
 template <bool kTwoD, bool kChain>
 inline void lane_slot(const KernelParams& kp, const LaneBlock& b, int lane,
                       SimTime t) {
-  bool called;
-  bool moved;
-  std::uint32_t dir_draw;  // chain: 16-bit halfword; else: full word
-  if constexpr (kChain) {
-    // Quad draw: block (t >> 2, terminal); slot t & 3 reads event and
-    // direction halfwords (t & 1) of words (t >> 1) & 1 and 2 + that.
-    const auto group = static_cast<std::uint64_t>(t) >> 2;
-    const stats::PhiloxWords w = stats::philox4x32(
-        kp.key0, kp.key1, static_cast<std::uint32_t>(group),
-        static_cast<std::uint32_t>(group >> 32), b.tid_lo[lane],
-        b.tid_hi[lane]);
-    const auto word = static_cast<std::size_t>((t >> 1) & 1);
-    const auto shift = static_cast<unsigned>((t & 1) * 16);
-    const std::uint32_t e16 = (w[word] >> shift) & 0xFFFFu;
-    dir_draw = (w[2 + word] >> shift) & 0xFFFFu;
-    // One event draw resolves the competing events (q + c <= 1 verified
-    // by FleetPlan::build): call wins below t_call, a move below t_move.
-    // The halfword against the threshold high halves decides except on a
-    // tie, where the refinement block supplies the exact low 16 bits.
-    const std::uint32_t tc = b.t_call[lane];
-    const std::uint32_t tm = b.t_move[lane];
-    if (e16 == tc >> 16 || e16 == tm >> 16) {
-      const std::uint32_t x = (e16 << 16) | refine16(kp, b, lane, t);
-      called = x < tc;
-      moved = !called && x < tm;
-    } else {
-      called = e16 < tc >> 16;
-      moved = !called && e16 < tm >> 16;
-    }
-  } else {
-    const stats::PhiloxWords w = stats::philox4x32(
-        kp.key0, kp.key1, static_cast<std::uint32_t>(t),
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(t) >> 32),
-        b.tid_lo[lane], b.tid_hi[lane]);
-    moved = w[0] < b.t_move[lane];
-    called = w[1] < b.t_call[lane];
-    dir_draw = w[2];
-  }
-  if (moved) {
+  const SlotDraw draw = draw_slot(kp.key, b.stream(lane), t, kChain,
+                                  b.t_call[lane], b.t_move[lane]);
+  if (draw.moved) {
     if constexpr (kTwoD) {
-      // Chain halfwords scale by 2^-16, full words by 2^-32.
-      const auto dir = static_cast<std::size_t>(
-          kChain ? (dir_draw * 6u) >> 16
-                 : (std::uint64_t{dir_draw} * 6) >> 32);
+      const auto dir = static_cast<std::size_t>(draw.direction.hex());
       b.rel_q[lane] += kDirQ[dir];
       b.rel_r[lane] += kDirR[dir];
     } else {
-      b.rel_q[lane] += static_cast<std::int32_t>((dir_draw & 1u) * 2) - 1;
+      b.rel_q[lane] += draw.direction.line_step();
     }
     ++b.moves[lane];
   }
@@ -240,8 +194,8 @@ inline void lane_slot(const KernelParams& kp, const LaneBlock& b, int lane,
   } else {
     dist = std::llabs(std::int64_t{b.rel_q[lane]});
   }
-  if (dist > b.thr[lane] || called) {
-    rare_slot(kp, b, lane, t, called, dist);
+  if (dist > b.thr[lane] || draw.called) {
+    rare_slot(kp, b, lane, t, draw.called, dist);
     dist = 0;
   }
   b.rd_rows[lane * b.rd_stride + dist]++;
@@ -267,8 +221,8 @@ inline constexpr std::int32_t kPairMaxThreshold = 8190;
 
 /// Runs TWO full 8-lane blocks over slots [first, last] as sixteen int16
 /// lanes per vector — the chain-faithful fast path.  The event halfwords
-/// and direction draws are 16-bit by construction (see the quad mapping
-/// above), and every other per-slot quantity (relative position, ring
+/// and direction draws are 16-bit by construction (the quad mapping in
+/// slot_draw.hpp), and every other per-slot quantity (relative position, ring
 /// distance, per-chunk move/occupancy counts) fits int16 when every
 /// threshold is <= kPairMaxThreshold — the caller's gate.  Bit-identical
 /// to running the blocks through run_block_avx2 / run_block_portable.

@@ -5,7 +5,7 @@
 //
 // The arithmetic is the integer-for-integer image of lane_slot in
 // simd_kernel.hpp: Philox4x32-10 draws under the quad-halfword (chain)
-// or per-slot (independent) counter mapping documented there, threshold
+// or per-slot (independent) counter mapping of slot_draw.hpp, threshold
 // compares against halfword or sign-bias-flipped words, the hex
 // direction LUT through a cross-lane permute, and |dq|+|dr|+|dq+dr| >> 1
 // ring distance.  Rare events (updates, calls, halfword/threshold ties)
@@ -13,7 +13,8 @@
 // the hot vectors — so the only vector/scalar divergence surface is the
 // common-case slot, which is branch-free and exact.
 // tests/sim/test_simd_engine.cpp pins the bit-identity against
-// run_block_portable.
+// run_block_portable and tests/sim/test_engine_identity.cpp against the
+// reference engine.
 #include "pcn/sim/simd_kernel.hpp"
 
 #if PCN_HAVE_AVX2_KERNEL
@@ -47,9 +48,9 @@ inline __m256i mulhi_epu32(__m256i a, __m256i m) {
 /// Eight Philox4x32-10 blocks: counter = (`counter`, stream lane), one
 /// lane per terminal.  All four output words feed the slot loop (the
 /// chain path spends a block on two slots).
-inline void philox8(std::uint32_t key0, std::uint32_t key1,
-                    std::uint64_t counter, __m256i tid_lo, __m256i tid_hi,
-                    __m256i& w0, __m256i& w1, __m256i& w2, __m256i& w3) {
+inline void philox8(const SlotKey& key, std::uint64_t counter,
+                    __m256i tid_lo, __m256i tid_hi, __m256i& w0,
+                    __m256i& w1, __m256i& w2, __m256i& w3) {
   using namespace stats::philox_detail;
   const __m256i m0 = _mm256_set1_epi32(static_cast<int>(kMul0));
   const __m256i m1 = _mm256_set1_epi32(static_cast<int>(kMul1));
@@ -61,8 +62,8 @@ inline void philox8(std::uint32_t key0, std::uint32_t key1,
       static_cast<std::uint32_t>(counter >> 32)));
   __m256i c2 = tid_lo;
   __m256i c3 = tid_hi;
-  __m256i k0 = _mm256_set1_epi32(static_cast<int>(key0));
-  __m256i k1 = _mm256_set1_epi32(static_cast<int>(key1));
+  __m256i k0 = _mm256_set1_epi32(static_cast<int>(key.key0));
+  __m256i k1 = _mm256_set1_epi32(static_cast<int>(key.key1));
   for (int round = 0; round < kRounds; ++round) {
     __m256i hi0;
     __m256i lo0;
@@ -146,7 +147,7 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
       if (tie_mask != 0) [[unlikely]] {
         // A halfword tied a threshold high half (p <= 2^-15 per lane):
         // resolve those lanes exactly with the refinement draw, then
-        // patch the decision masks (same arithmetic as lane_slot).
+        // patch the decision masks (slot_draw::chain_decide, as lane_slot).
         alignas(32) std::int32_t ev_arr[kLanes];
         alignas(32) std::int32_t called_arr[kLanes];
         alignas(32) std::int32_t moved_arr[kLanes];
@@ -157,10 +158,12 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
           const int lane = __builtin_ctz(static_cast<unsigned>(m));
           const std::uint32_t x =
               (static_cast<std::uint32_t>(ev_arr[lane]) << 16) |
-              refine16(kp, b, lane, t);
-          const bool c = x < b.t_call[lane];
+              slot_draw::refine16(kp.key, b.stream(lane), t);
+          bool c = false;
+          bool mv = false;
+          slot_draw::chain_decide(x, b.t_call[lane], b.t_move[lane], c, mv);
           called_arr[lane] = c ? -1 : 0;
-          moved_arr[lane] = (!c && x < b.t_move[lane]) ? -1 : 0;
+          moved_arr[lane] = mv ? -1 : 0;
         }
         called = load8(called_arr);
         moved = load8(moved_arr);
@@ -249,7 +252,7 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
     if constexpr (kChain) {
       // Quad draw: block (t >> 2); slot t & 3 reads event halfword
       // (t & 1) of word (t >> 1) & 1 and the matching direction
-      // halfword of words 2–3 (the mapping lane_slot documents).
+      // halfword of words 2–3 (the mapping slot_draw.hpp documents).
       const auto half_lo = [&](__m256i w) {
         return _mm256_and_si256(w, lo16);
       };
@@ -268,7 +271,7 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
       // Head: enter the quad grid (at most three slots, at a segment or
       // chunk boundary).
       if ((t & 3) != 0) {
-        philox8(kp.key0, kp.key1, static_cast<std::uint64_t>(t) >> 2,
+        philox8(kp.key, static_cast<std::uint64_t>(t) >> 2,
                 tid_lo, tid_hi, w0, w1, w2, w3);
         for (; t <= chunk_last && (t & 3) != 0; ++t) quad_slot(t);
       }
@@ -281,8 +284,8 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
         __m256i x1;
         __m256i x2;
         __m256i x3;
-        philox8(kp.key0, kp.key1, group, tid_lo, tid_hi, w0, w1, w2, w3);
-        philox8(kp.key0, kp.key1, group + 1, tid_lo, tid_hi, x0, x1, x2,
+        philox8(kp.key, group, tid_lo, tid_hi, w0, w1, w2, w3);
+        philox8(kp.key, group + 1, tid_lo, tid_hi, x0, x1, x2,
                 x3);
         slot_step(half_lo(w0), w0, half_lo(w2), t);
         slot_step(half_hi(w0), w0, half_hi(w2), t + 1);
@@ -294,7 +297,7 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
         slot_step(half_hi(x1), x1, half_hi(x3), t + 7);
       }
       for (; t + 3 <= chunk_last; t += 4) {
-        philox8(kp.key0, kp.key1, static_cast<std::uint64_t>(t) >> 2,
+        philox8(kp.key, static_cast<std::uint64_t>(t) >> 2,
                 tid_lo, tid_hi, w0, w1, w2, w3);
         slot_step(half_lo(w0), w0, half_lo(w2), t);
         slot_step(half_hi(w0), w0, half_hi(w2), t + 1);
@@ -303,13 +306,13 @@ void run_block_impl(const KernelParams& kp, const LaneBlock& b,
       }
       // Tail: a partial quad (chunk or segment end).
       if (t <= chunk_last) {
-        philox8(kp.key0, kp.key1, static_cast<std::uint64_t>(t) >> 2,
+        philox8(kp.key, static_cast<std::uint64_t>(t) >> 2,
                 tid_lo, tid_hi, w0, w1, w2, w3);
         for (; t <= chunk_last; ++t) quad_slot(t);
       }
     } else {
       for (; t <= chunk_last; ++t) {
-        philox8(kp.key0, kp.key1, static_cast<std::uint64_t>(t), tid_lo,
+        philox8(kp.key, static_cast<std::uint64_t>(t), tid_lo,
                 tid_hi, w0, w1, w2, w3);
         slot_step(w0, w1, w2, t);
       }
@@ -426,7 +429,7 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
     if (tie_mask != 0) [[unlikely]] {
       // A halfword tied a threshold high half: resolve those lanes
       // exactly with the refinement draw and patch the decision masks
-      // (same arithmetic as lane_slot).
+      // (slot_draw::chain_decide, as lane_slot).
       alignas(32) std::int16_t ev_arr[16];
       alignas(32) std::int16_t called_arr[16];
       alignas(32) std::int16_t moved_arr[16];
@@ -439,10 +442,13 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
         const int lane = kPairLn[j];
         const std::uint32_t e16 =
             static_cast<std::uint16_t>(ev_arr[j]) ^ 0x8000u;
-        const std::uint32_t x = (e16 << 16) | refine16(kp, blk, lane, t);
-        const bool c = x < blk.t_call[lane];
+        const std::uint32_t x =
+            (e16 << 16) | slot_draw::refine16(kp.key, blk.stream(lane), t);
+        bool c = false;
+        bool mv = false;
+        slot_draw::chain_decide(x, blk.t_call[lane], blk.t_move[lane], c, mv);
         called_arr[j] = c ? -1 : 0;
-        moved_arr[j] = (!c && x < blk.t_move[lane]) ? -1 : 0;
+        moved_arr[j] = mv ? -1 : 0;
       }
       called =
           _mm256_load_si256(reinterpret_cast<const __m256i*>(called_arr));
@@ -550,19 +556,19 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
     // Head: enter the quad grid (at most three slots).
     if ((t & 3) != 0) {
       const std::uint64_t group = static_cast<std::uint64_t>(t) >> 2;
-      philox8(kp.key0, kp.key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
-      philox8(kp.key0, kp.key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
+      philox8(kp.key, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
+      philox8(kp.key, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
       for (; t <= chunk_last && (t & 3) != 0; ++t) quad_slot(t);
     }
     // Four independent Philox chains in flight (two counters x two
     // blocks) keep the multiplier pipe busy through the 10 rounds.
     for (; t + 7 <= chunk_last; t += 8) {
       const std::uint64_t group = static_cast<std::uint64_t>(t) >> 2;
-      philox8(kp.key0, kp.key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
-      philox8(kp.key0, kp.key1, group + 1, tidA_lo, tidA_hi, x0, x1, x2,
+      philox8(kp.key, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
+      philox8(kp.key, group + 1, tidA_lo, tidA_hi, x0, x1, x2,
               x3);
-      philox8(kp.key0, kp.key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
-      philox8(kp.key0, kp.key1, group + 1, tidB_lo, tidB_hi, d0, d1, d2,
+      philox8(kp.key, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
+      philox8(kp.key, group + 1, tidB_lo, tidB_hi, d0, d1, d2,
               d3);
       slot_step(_mm256_xor_si256(pack_lo(w0, c0), bias16), pack_lo(w2, c2),
                 t);
@@ -583,8 +589,8 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
     }
     for (; t + 3 <= chunk_last; t += 4) {
       const std::uint64_t group = static_cast<std::uint64_t>(t) >> 2;
-      philox8(kp.key0, kp.key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
-      philox8(kp.key0, kp.key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
+      philox8(kp.key, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
+      philox8(kp.key, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
       slot_step(_mm256_xor_si256(pack_lo(w0, c0), bias16), pack_lo(w2, c2),
                 t);
       slot_step(_mm256_xor_si256(pack_hi(w0, c0), bias16), pack_hi(w2, c2),
@@ -597,8 +603,8 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
     // Tail: a partial quad (chunk or segment end).
     if (t <= chunk_last) {
       const std::uint64_t group = static_cast<std::uint64_t>(t) >> 2;
-      philox8(kp.key0, kp.key1, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
-      philox8(kp.key0, kp.key1, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
+      philox8(kp.key, group, tidA_lo, tidA_hi, w0, w1, w2, w3);
+      philox8(kp.key, group, tidB_lo, tidB_hi, c0, c1, c2, c3);
       for (; t <= chunk_last; ++t) quad_slot(t);
     }
     // Flush the packed int16 accumulators into the per-lane rows.

@@ -6,8 +6,9 @@
 // sequential xoshiro streams in rng.hpp, a counter-based draw is a pure
 // function of (key, stream, counter), so SIMD lanes need no per-lane
 // mutable state and any (terminal, slot) pair can be evaluated in any
-// order — the property the simd slot-loop engine is built on (it keys the
-// stream with the terminal id and the counter with the absolute slot).
+// order — the property the simulator's slot draws are built on (they key
+// the stream with the terminal id and the counter with the absolute slot;
+// see sim/slot_draw.hpp).
 //
 // The round function is ten rounds of
 //
@@ -71,8 +72,9 @@ inline PhiloxWords philox4x32(std::uint32_t key0, std::uint32_t key1,
 /// Fixed-point event threshold: for a uniform 32-bit word w,
 /// P(w < threshold32(p)) approximates p with error below 2^-32 (the
 /// nearest representable probability; p = 1 saturates at (2^32-1)/2^32).
-/// The simd engine compares event words against these thresholds instead
-/// of converting to double, keeping the hot path pure integer.
+/// The daemon's load generator compares event words against these
+/// thresholds instead of converting to double, keeping its hot path pure
+/// integer (the simulator uses sim::slot_threshold, exact at p = 1).
 inline std::uint32_t threshold32(double p) {
   if (p <= 0.0) return 0;
   if (p >= 1.0) return 0xFFFFFFFFu;

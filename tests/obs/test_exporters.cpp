@@ -196,11 +196,9 @@ TEST(TraceRingTest, WrapAtNonDefaultCapacity) {
   EXPECT_EQ(spans[31].start_ns, 99);
 }
 
-/// NetworkConfig::trace_ring_capacity sizes the runtime ring; the
-/// PCN_TRACE_RING_CAPACITY environment variable overrides it without a
-/// recompile.  Both paths must wrap correctly at non-default sizes.
+/// NetworkConfig::trace_ring_capacity sizes the runtime ring, which must
+/// wrap correctly at non-default sizes.
 TEST(TraceRingTest, NetworkHonoursConfiguredCapacity) {
-  unsetenv("PCN_TRACE_RING_CAPACITY");
   pcn::sim::NetworkConfig config{pcn::Dimension::kOneD,
                                  pcn::sim::SlotSemantics::kChainFaithful, 7};
   config.collect_runtime_stats = true;
@@ -217,18 +215,6 @@ TEST(TraceRingTest, NetworkHonoursConfiguredCapacity) {
   // the newest 32 spans.
   EXPECT_GT(network.trace()->recorded(), 32u);
   EXPECT_EQ(network.trace()->recent().size(), 32u);
-}
-
-TEST(TraceRingTest, NetworkHonoursCapacityEnvOverride) {
-  setenv("PCN_TRACE_RING_CAPACITY", "64", 1);
-  pcn::sim::NetworkConfig config{pcn::Dimension::kOneD,
-                                 pcn::sim::SlotSemantics::kChainFaithful, 7};
-  config.collect_runtime_stats = true;
-  config.trace_ring_capacity = 32;  // env wins over the config value
-  pcn::sim::Network network(config, pcn::CostWeights{100.0, 10.0});
-  unsetenv("PCN_TRACE_RING_CAPACITY");
-  ASSERT_NE(network.trace(), nullptr);
-  EXPECT_EQ(network.trace()->capacity(), 64u);
 }
 
 TEST(RunReportTest, JsonShapeFromRealRun) {

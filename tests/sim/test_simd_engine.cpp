@@ -1,20 +1,19 @@
 // SIMD engine (sim/simd_engine.cpp): self-consistency and policy.  The
-// engine's contract is weaker than SoA's — *statistical* equivalence to
-// the reference pair (gated by tests/property/test_prop_simd_statistical)
-// — but it must be bit-identical to ITSELF across thread counts, runs,
-// segmentation points and ISA paths (AVX2 vs portable), and its selection
-// rules are strict: kAuto never picks it, forced kSimd throws on
-// non-canonical fleets, flight recording, and PCN_SIMD_ISA=none.
+// engine must be bit-identical to itself across thread counts, runs,
+// segmentation points and ISA paths (AVX2 vs portable) — and, through the
+// shared draw contract, to the reference engine (test_engine_identity.cpp).
+// kAuto picks it for canonical fleets; forced kSimd throws on
+// non-canonical fleets and PCN_SIMD_ISA=none.
 #include "pcn/sim/simd_engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "pcn/common/error.hpp"
 #include "pcn/sim/network.hpp"
+#include "support/isa_env.hpp"
 
 namespace pcn::sim {
 namespace {
@@ -23,33 +22,7 @@ constexpr CostWeights kWeights{50.0, 2.0};
 constexpr int kTerminals = 48;
 constexpr std::int64_t kSlots = 6000;
 
-/// Scoped PCN_SIMD_ISA override (tests in this binary run sequentially).
-class ScopedIsaEnv {
- public:
-  explicit ScopedIsaEnv(const char* value) {
-    const char* old = std::getenv("PCN_SIMD_ISA");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv("PCN_SIMD_ISA", value, 1);
-    } else {
-      ::unsetenv("PCN_SIMD_ISA");
-    }
-  }
-  ~ScopedIsaEnv() {
-    if (had_old_) {
-      ::setenv("PCN_SIMD_ISA", old_.c_str(), 1);
-    } else {
-      ::unsetenv("PCN_SIMD_ISA");
-    }
-  }
-  ScopedIsaEnv(const ScopedIsaEnv&) = delete;
-  ScopedIsaEnv& operator=(const ScopedIsaEnv&) = delete;
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
+using proptest::ScopedIsaEnv;
 
 NetworkConfig make_config(Dimension dim, SlotSemantics semantics,
                           SimEngine engine, int threads) {
@@ -90,8 +63,7 @@ void expect_metrics_identical(const TerminalMetrics& a,
   EXPECT_EQ(a.polled_cells, b.polled_cells);
   EXPECT_EQ(a.update_bytes, b.update_bytes);
   EXPECT_EQ(a.paging_bytes, b.paging_bytes);
-  // Bit-exact within the engine: per-terminal costs fold in at batch sync
-  // in a thread-independent order.
+  // Bit-exact: costs are set from the integer counts at run end.
   EXPECT_EQ(a.update_cost, b.update_cost);
   EXPECT_EQ(a.paging_cost, b.paging_cost);
   expect_histograms_equal(a.paging_cycles, b.paging_cycles);
@@ -190,18 +162,6 @@ TEST(SimdEngine, PortableKernelMatchesAvx2BitForBit) {
   }
 }
 
-TEST(SimdEngine, AutoNeverSelectsSimd) {
-  Network network(make_config(Dimension::kTwoD,
-                              SlotSemantics::kChainFaithful,
-                              SimEngine::kAuto, 1),
-                  kWeights);
-  add_canonical_fleet(network, Dimension::kTwoD);
-  network.run(1000);
-  EXPECT_FALSE(network.simd_active());
-  EXPECT_TRUE(network.soa_active());
-  EXPECT_EQ(network.simd_isa_name(), nullptr);
-}
-
 TEST(SimdEngine, ReportsActiveIsaName) {
   Network network(make_config(Dimension::kTwoD,
                               SlotSemantics::kChainFaithful,
@@ -222,21 +182,6 @@ TEST(SimdEngine, RejectsNonCanonicalFleet) {
   network.add_terminal(make_time_terminal(
       Dimension::kTwoD, MobilityProfile{0.1, 0.01}, 50));
   EXPECT_THROW(network.run(100), InvalidArgument);
-}
-
-TEST(SimdEngine, RejectsFlightRecording) {
-  NetworkConfig config = make_config(
-      Dimension::kTwoD, SlotSemantics::kChainFaithful, SimEngine::kSimd, 1);
-  config.record_flight = true;
-  Network network(config, kWeights);
-  add_canonical_fleet(network, Dimension::kTwoD, 8);
-  try {
-    network.run(100);
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& error) {
-    EXPECT_NE(std::string(error.what()).find("flight"), std::string::npos)
-        << error.what();
-  }
 }
 
 TEST(SimdEngine, IsaNoneDisablesTheEngine) {
@@ -277,26 +222,6 @@ TEST(SimdEngine, ForcedAvx2UnavailableIsAnError) {
                   kWeights);
   add_canonical_fleet(network, Dimension::kTwoD, 8);
   EXPECT_THROW(network.run(100), InvalidArgument);
-}
-
-TEST(SimdEngine, SequentialStreamsStayUntouched) {
-  // The counter-keyed engine must not consume the terminals' sequential
-  // RNG streams: a reference run after a simd run matches a reference run
-  // that never ran simd slots... which cannot be compared directly (the
-  // simd slots move terminals).  What CAN be pinned: the walk/event Rng
-  // state is byte-identical before and after a simd-only run.
-  Network network(make_config(Dimension::kTwoD,
-                              SlotSemantics::kChainFaithful,
-                              SimEngine::kSimd, 1),
-                  kWeights);
-  const std::vector<TerminalId> ids =
-      add_canonical_fleet(network, Dimension::kTwoD, 8);
-  const stats::Rng before_ev = network.terminal(ids[0]).event_rng();
-  network.run(2000);
-  const stats::Rng after_ev = network.terminal(ids[0]).event_rng();
-  stats::Rng a = before_ev;
-  stats::Rng b = after_ev;
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
 }  // namespace

@@ -27,9 +27,10 @@ TEST(ScriptedMobility, MoveProbabilityFollowsTheScript) {
 TEST(ScriptedMobility, TargetsComeFromTheScript) {
   const ScriptedMobility mobility(Dimension::kTwoD, Cell{},
                                   {Cell{1, 0}, Cell{1, -1}});
-  stats::Rng rng(1);
-  EXPECT_EQ(mobility.move_target(Cell{}, 1, rng), (Cell{1, 0}));
-  EXPECT_EQ(mobility.move_target(Cell{1, 0}, 2, rng), (Cell{1, -1}));
+  // The script dictates the target; the slot's direction draw is unused.
+  const sim::DirectionDraw any;
+  EXPECT_EQ(mobility.move_target(Cell{}, 1, any), (Cell{1, 0}));
+  EXPECT_EQ(mobility.move_target(Cell{1, 0}, 2, any), (Cell{1, -1}));
 }
 
 TEST(ScriptedMobility, RejectsTeleportingScripts) {
@@ -44,9 +45,9 @@ TEST(ScriptedMobility, RejectsTeleportingScripts) {
 
 TEST(ScriptedMobility, DesynchronizedReplayIsCaught) {
   const ScriptedMobility mobility(Dimension::kTwoD, Cell{}, {Cell{1, 0}});
-  stats::Rng rng(1);
+  const sim::DirectionDraw any;
   // Asking for the move from a cell far away from the script.
-  EXPECT_THROW(mobility.move_target(Cell{5, 5}, 1, rng), InvalidArgument);
+  EXPECT_THROW(mobility.move_target(Cell{5, 5}, 1, any), InvalidArgument);
 }
 
 TEST(ScriptedReplay, ReproducesARecordedTrajectoryExactly) {

@@ -18,10 +18,10 @@
 #      more than m cycles (it exits 1 on any violation); when python3 is
 #      available, a fresh BENCH_table1_one_dim.json is also diffed against
 #      the blessed baseline with tools/bench_compare.py,
-#   6. engine equivalence gate — the same canned scenario simulated under
-#      --engine reference and --engine soa must print byte-identical
-#      reports (the struct-of-arrays fast path contracts bit-identical
-#      metrics; any drift fails the diff),
+#   6. engine equivalence gate — the same canned scenarios (1-D and 2-D)
+#      simulated under --engine reference and --engine simd must print
+#      byte-identical reports (both engines draw through one
+#      per-(terminal, slot) contract; any drift fails the diff),
 #   7. SIMD gate — the SIMD-vs-reference statistical-equivalence suite
 #      (tier-2 oracles), the perf_micro per-slot-cost bench in smoke mode,
 #      and the pcnctl --engine simd CLI path (positive when the hardware
@@ -182,27 +182,29 @@ else
   echo "bench_compare: skipped (python3 not found)"
 fi
 
-echo "== [6/12] engine equivalence gate (reference vs soa, exact diff) =="
+echo "== [6/12] engine equivalence gate (reference vs simd, exact diff) =="
 engine_dir=$(mktemp -d)
-for engine in reference soa; do
-  ./build/tools/pcnctl simulate --dim 2 --policy distance --delay 3 \
-    --slots 200000 --seed 11 --threads 2 --engine "$engine" \
-    > "$engine_dir/$engine.txt"
+for dim in 1 2; do
+  for engine in reference simd; do
+    ./build/tools/pcnctl simulate --dim "$dim" --policy distance --delay 3 \
+      --slots 200000 --seed 11 --threads 2 --engine "$engine" \
+      > "$engine_dir/$engine-$dim.txt"
+  done
+  if diff "$engine_dir/reference-$dim.txt" "$engine_dir/simd-$dim.txt"; then
+    echo "engine gate ok: --dim $dim reports byte-identical"
+  else
+    echo "engine gate FAILED: --dim $dim reference and simd reports differ"
+    rm -rf "$engine_dir"
+    exit 1
+  fi
 done
-if diff "$engine_dir/reference.txt" "$engine_dir/soa.txt"; then
-  echo "engine gate ok: reports byte-identical"
-else
-  echo "engine gate FAILED: reference and soa reports differ"
-  rm -rf "$engine_dir"
-  exit 1
-fi
 rm -rf "$engine_dir"
 
 echo "== [7/12] SIMD gate: statistical equivalence + perf_micro smoke =="
 cmake --build --preset default -j "$jobs" \
   --target test_prop_simd_statistical test_counter_rng perf_micro pcnctl
-# The tier-2 oracle suite compares SIMD metrics against the bit-exact
-# engines at 1 and 4 threads (CI bands + occupancy GOF).
+# The tier-2 oracle suite compares SIMD metrics against the reference
+# engine at 1 and 4 threads (CI bands + occupancy GOF).
 ctest --preset tier2 -R 'PropSimdStatistical' --output-on-failure \
   -j "$jobs"
 # Per-slot-cost microbench in smoke mode: tiny fleet, but the serialized
