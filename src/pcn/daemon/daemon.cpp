@@ -11,6 +11,7 @@
 
 #include "pcn/obs/timeseries_codec.hpp"
 #include "pcn/obs/tsc.hpp"
+#include "pcn/stats/rng.hpp"
 
 namespace pcn::daemon {
 
@@ -29,6 +30,46 @@ void bump_dense(std::vector<std::int64_t>& hist, std::size_t index) {
 }
 
 }  // namespace
+
+std::size_t Pcnd::TerminalTable::probe(std::uint64_t id) const {
+  // The id's slot, or the empty slot that ends its probe run.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t index = static_cast<std::size_t>(stats::rng_detail::mix64(id));
+  for (;; ++index) {
+    const Slot& slot = slots_[index & mask];
+    if (!slot.occupied || slot.id == id) return index & mask;
+  }
+}
+
+const Pcnd::TerminalTable::Slot* Pcnd::TerminalTable::find(
+    std::uint64_t id) const {
+  if (size_ == 0) return nullptr;
+  const Slot& slot = slots_[probe(id)];
+  return slot.occupied ? &slot : nullptr;
+}
+
+Pcnd::TerminalTable::Slot& Pcnd::TerminalTable::find_or_insert(
+    std::uint64_t id, bool* inserted) {
+  // Keep the load factor at or below 4/5.
+  if ((size_ + 1) * 5 > slots_.size() * 4) grow();
+  Slot& slot = slots_[probe(id)];
+  *inserted = !slot.occupied;
+  if (*inserted) {
+    slot = Slot{};
+    slot.id = id;
+    slot.occupied = true;
+    ++size_;
+  }
+  return slot;
+}
+
+void Pcnd::TerminalTable::grow() {
+  const std::vector<Slot> old = std::exchange(
+      slots_, std::vector<Slot>(std::max<std::size_t>(16, slots_.size() * 2)));
+  for (const Slot& slot : old) {
+    if (slot.occupied) slots_[probe(slot.id)] = slot;
+  }
+}
 
 void RequestSink::update(const proto::LocationUpdate& update) {
   daemon_->requests_update_.add(1, static_cast<std::size_t>(shard_));
@@ -176,9 +217,10 @@ void Pcnd::ingest_phase() {
 
 void Pcnd::apply_update(int shard, const proto::LocationUpdate& update) {
   PCN_ASSERT(terminal_shard_of(update.terminal_id) == shard);
-  auto& db = terminals_[static_cast<std::size_t>(shard)];
-  auto [it, inserted] = db.try_emplace(update.terminal_id);
-  TerminalState& state = it->second;
+  bool inserted = false;
+  TerminalTable::Slot& state =
+      terminals_[static_cast<std::size_t>(shard)].find_or_insert(
+          update.terminal_id, &inserted);
   if (!inserted && update.sequence <= state.sequence) {
     // Duplicate or reordered frame on a lossy air interface: the stored
     // state is newer, keep it.
@@ -196,9 +238,9 @@ void Pcnd::apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
                       SlotWorkload* workload, detail::SeqTracker* tracker) {
   PCN_ASSERT(terminal_shard_of(terminal_id) == shard);
   const std::uint32_t run = tracker->next(terminal_id);
-  const auto& db = terminals_[static_cast<std::size_t>(shard)];
-  const auto it = db.find(terminal_id);
-  if (it == db.end()) {
+  const TerminalTable::Slot* state =
+      terminals_[static_cast<std::size_t>(shard)].find(terminal_id);
+  if (state == nullptr) {
     // No center cell on file: the page has nowhere to go.  Verdict now,
     // in the apply phase, owned by the terminal shard's worker.
     pages_unknown_.add(1, static_cast<std::size_t>(shard));
@@ -217,9 +259,9 @@ void Pcnd::apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
     }
     return;
   }
-  const int qs = queue_shard_of(it->second.center);
+  const int qs = queue_shard_of(state->center);
   intents_[static_cast<std::size_t>(shard)][static_cast<std::size_t>(qs)]
-      .push_back({it->second.center, terminal_id, page_id, client});
+      .push_back({state->center, terminal_id, page_id, client});
 }
 
 void Pcnd::apply_phase(int worker, int worker_count, std::int64_t slot,
@@ -667,11 +709,11 @@ std::size_t Pcnd::terminal_count() const {
 }
 
 Pcnd::TerminalInfo Pcnd::terminal_info(std::uint64_t terminal_id) const {
-  const auto& db =
-      terminals_[static_cast<std::size_t>(terminal_shard_of(terminal_id))];
-  const auto it = db.find(terminal_id);
-  if (it == db.end()) return {};
-  return {true, it->second.center, it->second.sequence, it->second.radius};
+  const TerminalTable::Slot* state =
+      terminals_[static_cast<std::size_t>(terminal_shard_of(terminal_id))]
+          .find(terminal_id);
+  if (state == nullptr) return {};
+  return {true, state->center, state->sequence, state->radius};
 }
 
 std::int64_t Pcnd::queue_depth(geometry::Cell cell) const {

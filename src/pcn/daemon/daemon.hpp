@@ -15,10 +15,10 @@
 // request sets.  The design that buys this:
 //
 //   * Two fixed shard counts, independent of the thread count: terminal
-//     state lives in `terminal_shards` maps keyed by terminal_id mod the
-//     shard count, and cell queues live in `queue_shards` maps keyed by a
-//     cell hash.  Threads own shards (shard s -> worker s % T), never
-//     split them.
+//     state lives in `terminal_shards` open-addressing tables keyed by
+//     terminal_id mod the shard count, and cell queues live in
+//     `queue_shards` maps keyed by a cell hash.  Threads own shards
+//     (shard s -> worker s % T), never split them.
 //   * A slot is three barrier-separated phases.  INGEST (serial, in the
 //     barrier completion): drain the ring once, stable-sort the batch by
 //     (terminal, kind, sequence, page), bucket per terminal shard.
@@ -257,10 +257,34 @@ class Pcnd {
  private:
   friend class RequestSink;
 
-  struct TerminalState {
-    geometry::Cell center{};
-    std::uint64_t sequence = 0;
-    std::uint32_t radius = 0;
+  /// One terminal shard's center-cell DB: open addressing with linear
+  /// probing over a power-of-two slot array, homed by the mixed 64-bit
+  /// terminal id.  An occupancy flag, not a sentinel key, marks live
+  /// slots, so every uint64 id (~0 included) can be stored.  Socket and
+  /// in-process ids take the same path.
+  class TerminalTable {
+   public:
+    struct Slot {
+      std::uint64_t id = 0;
+      geometry::Cell center{};
+      std::uint64_t sequence = 0;
+      std::uint32_t radius = 0;
+      bool occupied = false;
+    };
+    static_assert(sizeof(Slot) <= 40, "terminal DB slots stay within 40 B");
+
+    const Slot* find(std::uint64_t id) const;
+    /// The slot holding `id`, claimed (zeroed, occupied) when absent;
+    /// `*inserted` says which.
+    Slot& find_or_insert(std::uint64_t id, bool* inserted);
+    std::size_t size() const { return size_; }
+
+   private:
+    std::size_t probe(std::uint64_t id) const;
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
   };
 
   struct PageIntent {
@@ -330,7 +354,7 @@ class Pcnd {
   std::int64_t published_widens_ = 0;
   std::int64_t published_narrows_ = 0;
 
-  std::vector<std::unordered_map<std::uint64_t, TerminalState>> terminals_;
+  std::vector<TerminalTable> terminals_;  ///< one per terminal shard
   /// intents_[terminal_shard][queue_shard]: pages routed this slot.
   std::vector<std::vector<std::vector<PageIntent>>> intents_;
   std::vector<QueueShard> queue_shards_;

@@ -9,12 +9,26 @@
 // outcome callbacks rely on.
 //
 // Determinism.  Every per-(terminal, slot) decision — move? which
-// direction? call arrival? — is a counter-based Philox draw keyed by the
-// workload seed with stream = terminal and counter = slot, so the
-// generated request sequence is a pure function of (seed, config) and is
-// identical at any worker-thread count.  `generate` touches only
-// terminals t with t % shard_count == shard, in increasing t, as the
-// SlotWorkload contract requires.
+// direction? call arrival? — is drawn through the shared slot-draw
+// contract (sim/slot_draw.hpp, independent semantics): key
+// SlotKey::from_seed(seed), stream = terminal id, counter = slot; move is
+// word 0 < slot_threshold(move_prob), call word 1 <
+// slot_threshold(call_prob), and the direction DirectionDraw{word 2}.
+// The generated request sequence is therefore a pure function of
+// (seed, config), identical at any worker-thread count and on every
+// instruction set.  `generate` touches only terminals t with
+// t % shard_count == shard, in increasing t, as the SlotWorkload
+// contract requires.
+//
+// Layout.  Walk state lives in dense per-shard arrays indexed
+// t / shard_count: the int32 offset from the last reported cell, and
+// beside it that cell (stored already wrapped) with the terminal's update
+// sequence and page ordinal.  Each slot runs the shard through the
+// SIMD kernels' walk_slot (sim/simd_kernel.hpp; AVX2 when simd_support()
+// selects it, else the portable kernel), so a terminal that neither
+// moves nor is called costs its draw and nothing else; the rare update
+// and page lanes come back as events for the scalar code that feeds the
+// RequestSink.  A shard's first slot registers all of its terminals.
 //
 // Offered load.  Per slot each idle terminal pages with probability
 // `call_prob`; total offered paging load is roughly
@@ -26,10 +40,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "pcn/daemon/daemon.hpp"
-#include "pcn/stats/counter_rng.hpp"
+#include "pcn/sim/simd_kernel.hpp"
 
 namespace pcn::daemon {
 
@@ -83,21 +98,37 @@ class ClosedLoopWorkload final : public SlotWorkload {
   std::int64_t outstanding_count() const;
 
  private:
-  struct TerminalState {
-    geometry::Cell position{};  ///< unwrapped random-walk position
-    geometry::Cell reported{};  ///< unwrapped position of the last update
-    std::uint64_t sequence = 0;
-    std::uint64_t page_ordinal = 0;
-    bool registered = false;
+  /// One terminal shard's walk state, dense over its terminals
+  /// t = shard + i * shard_count.
+  struct Shard {
+    /// What only update and page events touch, kept together so an
+    /// event costs one cache line here.
+    struct Reported {
+      std::int32_t q = 0;  ///< last reported cell, wrapped
+      std::int32_t r = 0;
+      std::uint64_t sequence = 0;      ///< last update's sequence
+      std::uint64_t page_ordinal = 0;  ///< pages submitted so far
+    };
+    std::vector<std::int32_t> rel_q;  ///< offset from the last report
+    std::vector<std::int32_t> rel_r;
+    std::vector<Reported> reported;
+    std::vector<std::uint32_t> events;  ///< walk_slot output
+    bool registered = false;  ///< the shard's first slot has run
   };
 
-  geometry::Cell wrapped(geometry::Cell cell) const;
+  void register_shard(Shard& shard, std::uint64_t first,
+                      std::uint64_t stride, std::int64_t slot,
+                      RequestSink& sink);
+  void send_update(Shard& shard, std::size_t i, std::uint64_t t,
+                   RequestSink& sink);
+  void send_page(Shard& shard, std::size_t i, std::uint64_t t,
+                 RequestSink& sink);
 
   ClosedLoopConfig config_;
-  stats::CounterRng rng_;
-  std::uint32_t move_threshold_;
-  std::uint32_t call_threshold_;
-  std::vector<TerminalState> states_;
+  sim::simd_detail::WalkParams walk_;
+  /// Sized on the first generate call, when the shard count is known.
+  std::once_flag layout_once_;
+  std::vector<Shard> shards_;
   /// outstanding_[t] != 0 while terminal t has a page in flight.  Plain
   /// bytes, not atomics: for one terminal the daemon's phase barriers
   /// order every access (generate in APPLY, the verdict in APPLY or a

@@ -22,8 +22,14 @@
 // The kernels are pure integer; they never see the Network.  Flight
 // recording and the sampled per-page telemetry hang off rare_slot through
 // an optional RareSink, defined out of line in simd_engine.cpp.
+//
+// A second entry point, walk_slot, serves the daemon's closed-loop load
+// generator (daemon/load_gen.cpp): one slot of a shard's walk under the
+// independent draw semantics, with the same portable / AVX2 split and the
+// same bit-identity between them (tests/sim/test_simd_engine.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 
@@ -207,6 +213,59 @@ inline void lane_slot(const KernelParams& kp, const LaneBlock& b, int lane,
 void run_block_portable(const KernelParams& kp, const LaneBlock& block,
                         int n, bool two_d, bool chain, SimTime first,
                         SimTime last);
+
+// ---- Batch walk for the daemon's closed-loop load generator -------------
+//
+// One slot of a terminal shard's random walk under the *independent* slot
+// semantics of slot_draw.hpp (move below t_move, call below t_call,
+// direction from word 2).  Lane i is terminal stream first + i * stride,
+// and its walk state is the offset from the terminal's last reported
+// cell.  Common lanes only move; a lane whose move reached `update_at` or
+// whose call draw fired leaves as an event for the caller's scalar code.
+
+/// Event flags, ORed into the low bits of `(lane << 2)`.
+inline constexpr std::uint32_t kWalkUpdate = 1;  ///< moved to update_at
+inline constexpr std::uint32_t kWalkCalled = 2;  ///< the call draw fired
+/// Lanes per walk_slot call (event words hold the lane in 30 bits).
+inline constexpr std::size_t kWalkMaxLanes = std::size_t{1} << 30;
+
+struct WalkParams {
+  SlotKey key;
+  std::uint64_t t_move = 0;    ///< slot_threshold(q)
+  std::uint64_t t_call = 0;    ///< slot_threshold(c)
+  std::int32_t update_at = 1;  ///< ring distance that triggers an update
+  bool two_d = true;
+  /// Run the AVX2 kernel.  Set only when simd_support() selected AVX2
+  /// and both thresholds fit a 32-bit lane (p = 1 is 2^32).
+  bool avx2 = false;
+};
+
+struct WalkLanes {
+  std::int32_t* rel_q;  ///< offset from the last reported cell
+  std::int32_t* rel_r;
+  std::uint64_t first = 0;   ///< stream of lane 0
+  std::uint64_t stride = 1;  ///< stream step between lanes
+  std::size_t n = 0;
+};
+
+/// Moves every lane of `lanes` through slot `t` and writes one event
+/// `(lane << 2) | flags` per lane with flags, in increasing lane order,
+/// to `events` (room for lanes.n words); returns the event count.  The
+/// offsets keep their post-move values: resetting them on an update is
+/// the caller's job.  Dispatches on `p.avx2`.
+std::size_t walk_slot(const WalkParams& p, const WalkLanes& lanes, SimTime t,
+                      std::uint32_t* events);
+
+/// walk_slot's scalar path, built into every binary.
+std::size_t walk_slot_portable(const WalkParams& p, const WalkLanes& lanes,
+                               SimTime t, std::uint32_t* events);
+
+#if PCN_HAVE_AVX2_KERNEL
+/// walk_slot eight lanes per instruction; the tail (n % 8 lanes) runs
+/// walk_slot_portable.  Requires both thresholds below 2^32.
+std::size_t walk_slot_avx2(const WalkParams& p, const WalkLanes& lanes,
+                           SimTime t, std::uint32_t* events);
+#endif
 
 #if PCN_HAVE_AVX2_KERNEL
 /// Runs all 8 lanes of `block` over slots [first, last] with AVX2.

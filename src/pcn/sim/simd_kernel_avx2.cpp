@@ -23,6 +23,8 @@
 
 #include <algorithm>
 
+#include "pcn/common/error.hpp"
+
 namespace pcn::sim::simd_detail {
 namespace {
 
@@ -634,7 +636,134 @@ void run_pair_impl(const KernelParams& kp, const LaneBlock& A,
   }
 }
 
+/// One slot of the load generator's walk, eight lanes per step: the
+/// lane image of walk_lane.  Lanes that neither move nor are called touch
+/// nothing but their draw; the offsets are loaded and stored only when
+/// some lane of the block moved.
+template <bool kTwoD>
+std::size_t walk_impl(const WalkParams& p, const WalkLanes& lanes, SimTime t,
+                      std::uint32_t* events) {
+  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
+  // Sign-bias-flipped thresholds: unsigned "word < threshold" becomes a
+  // signed greater-than.
+  const __m256i tmove = _mm256_set1_epi32(
+      static_cast<int>(static_cast<std::uint32_t>(p.t_move) ^ 0x80000000u));
+  const __m256i tcall = _mm256_set1_epi32(
+      static_cast<int>(static_cast<std::uint32_t>(p.t_call) ^ 0x80000000u));
+  const __m256i below_update = _mm256_set1_epi32(p.update_at - 1);
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i six = _mm256_set1_epi32(6);
+  const __m256i dir_q = _mm256_setr_epi32(kDirQ[0], kDirQ[1], kDirQ[2],
+                                          kDirQ[3], kDirQ[4], kDirQ[5],
+                                          kDirQ[6], kDirQ[7]);
+  const __m256i dir_r = _mm256_setr_epi32(kDirR[0], kDirR[1], kDirR[2],
+                                          kDirR[3], kDirR[4], kDirR[5],
+                                          kDirR[6], kDirR[7]);
+  // Lane streams first + (i + lane) * stride as 32-bit halves, advanced
+  // by 8 * stride per block with the carry propagated by hand.
+  alignas(32) std::uint32_t lo[kLanes];
+  alignas(32) std::uint32_t hi[kLanes];
+  for (int lane = 0; lane < kLanes; ++lane) {
+    const std::uint64_t stream =
+        lanes.first + static_cast<std::uint64_t>(lane) * lanes.stride;
+    lo[lane] = static_cast<std::uint32_t>(stream);
+    hi[lane] = static_cast<std::uint32_t>(stream >> 32);
+  }
+  __m256i tid_lo = load8(lo);
+  __m256i tid_hi = load8(hi);
+  const std::uint64_t block_step = lanes.stride * kLanes;
+  const __m256i step_lo = _mm256_set1_epi32(
+      static_cast<int>(static_cast<std::uint32_t>(block_step)));
+  const __m256i step_hi = _mm256_set1_epi32(
+      static_cast<int>(static_cast<std::uint32_t>(block_step >> 32)));
+
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + kLanes <= lanes.n; i += kLanes) {
+    __m256i w0;
+    __m256i w1;
+    __m256i w2;
+    __m256i w3;
+    philox8(p.key, static_cast<std::uint64_t>(t), tid_lo, tid_hi, w0, w1, w2,
+            w3);
+    const __m256i next_lo = _mm256_add_epi32(tid_lo, step_lo);
+    const __m256i carry = _mm256_cmpgt_epi32(_mm256_xor_si256(tid_lo, bias),
+                                             _mm256_xor_si256(next_lo, bias));
+    tid_hi = _mm256_sub_epi32(_mm256_add_epi32(tid_hi, step_hi), carry);
+    tid_lo = next_lo;
+
+    const __m256i moved =
+        _mm256_cmpgt_epi32(tmove, _mm256_xor_si256(w0, bias));
+    const __m256i called =
+        _mm256_cmpgt_epi32(tcall, _mm256_xor_si256(w1, bias));
+    const int call_mask = _mm256_movemask_ps(_mm256_castsi256_ps(called));
+    int update_mask = 0;
+    if (_mm256_movemask_ps(_mm256_castsi256_ps(moved)) != 0) {
+      __m256i rel_q = load8(lanes.rel_q + i);
+      __m256i dist;
+      if constexpr (kTwoD) {
+        __m256i rel_r = load8(lanes.rel_r + i);
+        const __m256i dir = mulhi_epu32(w2, six);
+        rel_q = _mm256_add_epi32(
+            rel_q,
+            _mm256_and_si256(moved, _mm256_permutevar8x32_epi32(dir_q, dir)));
+        rel_r = _mm256_add_epi32(
+            rel_r,
+            _mm256_and_si256(moved, _mm256_permutevar8x32_epi32(dir_r, dir)));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes.rel_r + i),
+                            rel_r);
+        dist = _mm256_srli_epi32(
+            _mm256_add_epi32(
+                _mm256_add_epi32(_mm256_abs_epi32(rel_q),
+                                 _mm256_abs_epi32(rel_r)),
+                _mm256_abs_epi32(_mm256_add_epi32(rel_q, rel_r))),
+            1);
+      } else {
+        const __m256i step = _mm256_sub_epi32(
+            _mm256_slli_epi32(_mm256_and_si256(w2, one), 1), one);
+        rel_q = _mm256_add_epi32(rel_q, _mm256_and_si256(moved, step));
+        dist = _mm256_abs_epi32(rel_q);
+      }
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes.rel_q + i), rel_q);
+      update_mask = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_and_si256(
+          moved, _mm256_cmpgt_epi32(dist, below_update))));
+    }
+    for (int m = update_mask | call_mask; m != 0; m &= m - 1) {
+      const int lane = __builtin_ctz(static_cast<unsigned>(m));
+      events[count++] =
+          (static_cast<std::uint32_t>(i + static_cast<std::size_t>(lane))
+           << 2) |
+          static_cast<std::uint32_t>((update_mask >> lane) & 1) *
+              kWalkUpdate |
+          static_cast<std::uint32_t>((call_mask >> lane) & 1) * kWalkCalled;
+    }
+  }
+  if (i < lanes.n) {
+    // The tail runs out of line in the portable TU (no AVX2 encodings
+    // leak into shared inline code); its lanes renumber from 0.
+    const WalkLanes tail{lanes.rel_q + i, lanes.rel_r + i,
+                         lanes.first + i * lanes.stride, lanes.stride,
+                         lanes.n - i};
+    const std::size_t tail_count =
+        walk_slot_portable(p, tail, t, events + count);
+    for (std::size_t k = count; k < count + tail_count; ++k) {
+      events[k] += static_cast<std::uint32_t>(i) << 2;
+    }
+    count += tail_count;
+  }
+  return count;
+}
+
 }  // namespace
+
+std::size_t walk_slot_avx2(const WalkParams& p, const WalkLanes& lanes,
+                           SimTime t, std::uint32_t* events) {
+  PCN_ASSERT(lanes.n <= kWalkMaxLanes);
+  PCN_ASSERT(p.t_move < (std::uint64_t{1} << 32) &&
+             p.t_call < (std::uint64_t{1} << 32));
+  return p.two_d ? walk_impl<true>(p, lanes, t, events)
+                 : walk_impl<false>(p, lanes, t, events);
+}
 
 void run_block_avx2(const KernelParams& kp, const LaneBlock& block,
                     bool two_d, bool chain, SimTime first, SimTime last) {

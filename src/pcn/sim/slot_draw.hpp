@@ -1,5 +1,6 @@
 // The per-(terminal, slot) random-draw contract shared by every slot-loop
-// engine.
+// engine and by the daemon's closed-loop load generator
+// (daemon/load_gen.cpp, independent semantics keyed on the workload seed).
 //
 // Each (terminal, slot) pair draws from a counter-based Philox4x32-10
 // block (stats/counter_rng.hpp) keyed on the network seed: the stream

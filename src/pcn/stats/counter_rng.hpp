@@ -6,9 +6,10 @@
 // sequential xoshiro streams in rng.hpp, a counter-based draw is a pure
 // function of (key, stream, counter), so SIMD lanes need no per-lane
 // mutable state and any (terminal, slot) pair can be evaluated in any
-// order — the property the simulator's slot draws are built on (they key
-// the stream with the terminal id and the counter with the absolute slot;
-// see sim/slot_draw.hpp).
+// order — the property the slot draws of the simulator engines and the
+// daemon's load generator are built on (they key the stream with the
+// terminal id and the counter with the absolute slot, and compare words
+// against sim::slot_threshold; see sim/slot_draw.hpp).
 //
 // The round function is ten rounds of
 //
@@ -25,7 +26,6 @@
 #pragma once
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 
 #include "pcn/stats/rng.hpp"
@@ -67,21 +67,6 @@ inline PhiloxWords philox4x32(std::uint32_t key0, std::uint32_t key1,
     key1 += kWeyl1;
   }
   return {c0, c1, c2, c3};
-}
-
-/// Fixed-point event threshold: for a uniform 32-bit word w,
-/// P(w < threshold32(p)) approximates p with error below 2^-32 (the
-/// nearest representable probability; p = 1 saturates at (2^32-1)/2^32).
-/// The daemon's load generator compares event words against these
-/// thresholds instead of converting to double, keeping its hot path pure
-/// integer (the simulator uses sim::slot_threshold, exact at p = 1).
-inline std::uint32_t threshold32(double p) {
-  if (p <= 0.0) return 0;
-  if (p >= 1.0) return 0xFFFFFFFFu;
-  const auto scaled =
-      static_cast<std::uint64_t>(std::llround(p * 4294967296.0));
-  return scaled >= 0xFFFFFFFFull ? 0xFFFFFFFFu
-                                 : static_cast<std::uint32_t>(scaled);
 }
 
 /// A keyed family of stateless uniform streams.  `stream` indexes an

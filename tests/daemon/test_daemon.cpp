@@ -14,6 +14,7 @@
 #include "pcn/daemon/load_gen.hpp"
 #include "pcn/daemon/daemon_report.hpp"
 #include "pcn/obs/trace_export.hpp"
+#include "pcn/stats/rng.hpp"
 
 namespace pcn::daemon {
 namespace {
@@ -60,6 +61,87 @@ TEST(Pcnd, UpdateRegistersTerminalAndSequenceDedups) {
   EXPECT_EQ(snapshot.counter_value("daemon.update.applied"), 1);
   EXPECT_EQ(snapshot.counter_value("daemon.update.stale"), 1);
   EXPECT_FALSE(daemon.terminal_info(8).known);
+}
+
+TEST(Pcnd, TerminalDbStoresEveryIdIncludingZeroAndAllOnes) {
+  Pcnd daemon(base_config());
+  const std::uint64_t all_ones = ~std::uint64_t{0};
+  // With their shards populated, unregistered 0 and ~0 stay unknown: no
+  // key value doubles as "empty".
+  ASSERT_TRUE(daemon.submit(update_request(16, 1, {0, 0})));
+  ASSERT_TRUE(daemon.submit(update_request(all_ones - 16, 1, {0, 0})));
+  daemon.run_slots(1);
+  EXPECT_FALSE(daemon.terminal_info(0).known);
+  EXPECT_FALSE(daemon.terminal_info(all_ones).known);
+  ASSERT_TRUE(daemon.submit(update_request(0, 1, {1, 2})));
+  ASSERT_TRUE(daemon.submit(update_request(all_ones, 9, {-4, 5})));
+  daemon.run_slots(1);
+  EXPECT_EQ(daemon.terminal_count(), 4u);
+  const Pcnd::TerminalInfo zero = daemon.terminal_info(0);
+  ASSERT_TRUE(zero.known);
+  EXPECT_EQ(zero.center, (geometry::Cell{1, 2}));
+  EXPECT_EQ(zero.sequence, 1u);
+  const Pcnd::TerminalInfo top = daemon.terminal_info(all_ones);
+  ASSERT_TRUE(top.known);
+  EXPECT_EQ(top.center, (geometry::Cell{-4, 5}));
+  EXPECT_EQ(top.sequence, 9u);
+  EXPECT_EQ(top.radius, 2u);
+  // Unregistered neighbors of both ends stay unknown, and a page to one
+  // is dropped as an unknown terminal rather than aliasing a stored one.
+  EXPECT_FALSE(daemon.terminal_info(all_ones - 32).known);
+  EXPECT_FALSE(daemon.terminal_info(32).known);
+  ASSERT_TRUE(daemon.submit(page_request(5, all_ones - 32)));
+  daemon.run_slots(1);
+  EXPECT_EQ(daemon.metrics_registry().snapshot().counter_value(
+                "daemon.page.unknown_terminal"),
+            1);
+}
+
+TEST(Pcnd, TerminalDbSurvivesCollisionsAndGrowth) {
+  // Ids in one terminal shard whose mixed hashes share their low bits
+  // collide in the table's first slot array; 3000 more shard-0 ids force
+  // rehashes.  Every id must keep its own entry throughout.
+  Pcnd daemon(base_config());
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t id = 0; ids.size() < 12; id += 16) {
+    if ((stats::rng_detail::mix64(id) & 15) == 7) ids.push_back(id);
+  }
+  for (std::uint64_t k = 1; k <= 3000; ++k) ids.push_back((k << 20) * 16);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto q = static_cast<std::int64_t>(i);
+    ASSERT_TRUE(daemon.submit(update_request(ids[i], i + 1, {q, -q})));
+    if (i == 11) daemon.run_slots(1);  // the colliding batch alone first
+  }
+  daemon.run_slots(1);
+  EXPECT_EQ(daemon.terminal_count(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Pcnd::TerminalInfo info = daemon.terminal_info(ids[i]);
+    ASSERT_TRUE(info.known) << "id " << ids[i];
+    const auto q = static_cast<std::int64_t>(i);
+    EXPECT_EQ(info.center, (geometry::Cell{q, -q})) << "id " << ids[i];
+    EXPECT_EQ(info.sequence, i + 1) << "id " << ids[i];
+  }
+}
+
+TEST(Pcnd, TerminalDbKeepsTheNewestSequence) {
+  Pcnd daemon(base_config());
+  const std::uint64_t id = 0xDEADBEEFCAFEull;
+  ASSERT_TRUE(daemon.submit(update_request(id, 5, {5, 5})));
+  daemon.run_slots(1);
+  ASSERT_TRUE(daemon.submit(update_request(id, 3, {3, 3})));  // older
+  daemon.run_slots(1);
+  ASSERT_TRUE(daemon.submit(update_request(id, 5, {6, 6})));  // replay
+  daemon.run_slots(1);
+  EXPECT_EQ(daemon.terminal_info(id).center, (geometry::Cell{5, 5}));
+  EXPECT_EQ(daemon.terminal_info(id).sequence, 5u);
+  ASSERT_TRUE(daemon.submit(update_request(id, 6, {7, 7})));  // newer
+  daemon.run_slots(1);
+  EXPECT_EQ(daemon.terminal_info(id).center, (geometry::Cell{7, 7}));
+  EXPECT_EQ(daemon.terminal_info(id).sequence, 6u);
+  const obs::MetricsSnapshot snapshot = daemon.metrics_registry().snapshot();
+  EXPECT_EQ(snapshot.counter_value("daemon.update.applied"), 2);
+  EXPECT_EQ(snapshot.counter_value("daemon.update.stale"), 2);
+  EXPECT_EQ(daemon.terminal_count(), 1u);
 }
 
 TEST(Pcnd, PageForKnownTerminalIsServed) {

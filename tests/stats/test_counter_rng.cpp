@@ -1,13 +1,12 @@
 // Counter-based RNG (stats/counter_rng.hpp): known-answer vectors for the
 // Philox4x32-10 bijection, determinism and ordering-freedom of the keyed
 // streams, statistical independence between adjacent streams (the simd
-// engine keys one stream per terminal id), and the fixed-point threshold
-// and key-derivation edge cases.
+// engine keys one stream per terminal id), and the key-derivation edge
+// cases.
 #include "pcn/stats/counter_rng.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 
 namespace pcn::stats {
@@ -164,37 +163,6 @@ TEST(CounterRng, AdjacentStreamsAreUncorrelated) {
     }
     EXPECT_LT(chi2, 23.93) << "streams " << stream << "," << stream + 1;
   }
-}
-
-// --- Fixed-point thresholds -------------------------------------------------
-
-TEST(Threshold32, EdgeCasesAndMonotonicity) {
-  EXPECT_EQ(threshold32(0.0), 0u);
-  EXPECT_EQ(threshold32(-1.0), 0u);
-  EXPECT_EQ(threshold32(1.0), 0xFFFFFFFFu);
-  EXPECT_EQ(threshold32(2.0), 0xFFFFFFFFu);
-  EXPECT_EQ(threshold32(0.5), 0x80000000u);
-  EXPECT_EQ(threshold32(0.25), 0x40000000u);
-  // Rounding error below 2^-32 either way.
-  const double p = 0.0137;
-  const double back = threshold32(p) / 4294967296.0;
-  EXPECT_NEAR(back, p, 1.0 / 4294967296.0);
-  EXPECT_LE(threshold32(0.1), threshold32(0.100001));
-}
-
-TEST(Threshold32, MatchesEmpiricalFrequency) {
-  // P(w0 < threshold32(p)) ~= p: binomial bound with z = 4.75 (alpha
-  // ~1e-6) over 1 << 14 draws.
-  const CounterRng rng = CounterRng::keyed(3, 9);
-  const double p = 0.1;
-  const std::uint32_t threshold = threshold32(p);
-  constexpr int kDraws = 1 << 14;
-  int hits = 0;
-  for (std::uint64_t counter = 0; counter < kDraws; ++counter) {
-    if (rng.block(0, counter)[0] < threshold) ++hits;
-  }
-  const double sigma = std::sqrt(p * (1 - p) * kDraws);
-  EXPECT_NEAR(static_cast<double>(hits), p * kDraws, 4.75 * sigma);
 }
 
 }  // namespace

@@ -174,6 +174,27 @@ std::string GofResult::describe() const {
   return line;
 }
 
+Band update_rate_band(const markov::ChainSpec& spec, int threshold,
+                      std::int64_t slots, double z) {
+  PCN_EXPECT(slots > 0, "update_rate_band: slots must be positive");
+  const auto n = static_cast<std::size_t>(threshold) + 1;
+  const std::vector<double> pi = markov::solve_steady_state(spec, threshold);
+  // The update fires on the boundary state only, as a Bernoulli(up(d))
+  // draw; its conditional variance and the chain's autocorrelation add.
+  std::vector<double> mean(n, 0.0);
+  std::vector<double> cond_var(n, 0.0);
+  const double up = spec.up(threshold);
+  mean[n - 1] = up;
+  cond_var[n - 1] = up * (1.0 - up);
+  const double sigma2 =
+      dot(pi, cond_var) +
+      asymptotic_variance(markov::transition_matrix(spec, threshold), pi,
+                          mean);
+  return Band{dot(pi, mean),
+              z * kCorrelationSafety *
+                  std::sqrt(sigma2 / static_cast<double>(slots))};
+}
+
 GofResult occupancy_goodness_of_fit(const costs::CostModel& model,
                                     int threshold,
                                     const stats::Histogram& occupancy,

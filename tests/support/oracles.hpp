@@ -34,6 +34,7 @@
 
 #include "pcn/costs/cost_model.hpp"
 #include "pcn/linalg/matrix.hpp"
+#include "pcn/markov/chain_spec.hpp"
 #include "pcn/stats/histogram.hpp"
 
 namespace pcn::proptest {
@@ -85,6 +86,14 @@ struct CostBands {
 /// own predictions exactly.
 CostBands predicted_cost_bands(const costs::CostModel& model, int threshold,
                                DelayBound bound, std::int64_t slots, double z);
+
+/// Acceptance band at `z` standard errors for the per-slot location-update
+/// rate of `slots` stationary slots of the walk `spec` describes, updating
+/// on the outward move from ring `threshold` and restarting at ring 0
+/// (the chain's own update rule, with calls leaving the walk alone when
+/// spec.call() is 0).  Center pi_threshold * up(threshold).
+Band update_rate_band(const markov::ChainSpec& spec, int threshold,
+                      std::int64_t slots, double z);
 
 struct GofResult {
   double statistic = 0.0;

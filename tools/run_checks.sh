@@ -23,7 +23,9 @@
 #      byte-identical reports (both engines draw through one
 #      per-(terminal, slot) contract; any drift fails the diff),
 #   7. SIMD gate — the SIMD-vs-reference statistical-equivalence suite
-#      (tier-2 oracles), the perf_micro per-slot-cost bench in smoke mode,
+#      (tier-2 oracles), the load generator's walk-kernel identity,
+#      ISA/thread identity and chain-oracle tests, the perf_micro
+#      per-slot-cost bench in smoke mode,
 #      and the pcnctl --engine simd CLI path (positive when the hardware
 #      supports a kernel, and the forced-unsupported error path under
 #      PCN_SIMD_ISA=none),
@@ -202,11 +204,17 @@ rm -rf "$engine_dir"
 
 echo "== [7/12] SIMD gate: statistical equivalence + perf_micro smoke =="
 cmake --build --preset default -j "$jobs" \
-  --target test_prop_simd_statistical test_counter_rng perf_micro pcnctl
+  --target test_prop_simd_statistical test_counter_rng test_simd_engine \
+  test_load_gen perf_micro pcnctl
 # The tier-2 oracle suite compares SIMD metrics against the reference
-# engine at 1 and 4 threads (CI bands + occupancy GOF).
-ctest --preset tier2 -R 'PropSimdStatistical' --output-on-failure \
-  -j "$jobs"
+# engine at 1 and 4 threads (CI bands + occupancy GOF).  Next to it, the
+# daemon load generator's walk on the same kernels: its batch walk equals
+# draw_slot lane for lane (WalkSlot), a 2x-overload pcnd run is
+# bit-identical across ISAs and thread counts (LoadGenIdentity), and its
+# update and page rates match the chain (LoadGenChainOracle).
+ctest --preset default \
+  -R 'PropSimdStatistical|WalkSlot|LoadGenIdentity|LoadGenChainOracle' \
+  --output-on-failure -j "$jobs"
 # Per-slot-cost microbench in smoke mode: tiny fleet, but the serialized
 # TSC section and the PCN_BENCH line must still be produced.
 micro_dir=$(mktemp -d)
