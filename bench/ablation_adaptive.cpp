@@ -16,7 +16,7 @@
 #include "pcn/core/adaptive.hpp"
 #include "pcn/core/location_manager.hpp"
 #include "pcn/obs/bench_report.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/sim/network.hpp"
 
 namespace {

@@ -12,7 +12,7 @@
 #include "pcn/costs/cost_model.hpp"
 #include "pcn/obs/bench_report.hpp"
 #include "pcn/obs/metrics.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/optimize/annealing.hpp"
 #include "pcn/optimize/exhaustive.hpp"
 #include "pcn/optimize/near_optimal.hpp"

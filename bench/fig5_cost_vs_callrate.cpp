@@ -14,7 +14,7 @@
 
 #include "pcn/costs/cost_model.hpp"
 #include "pcn/obs/bench_report.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/optimize/exhaustive.hpp"
 
 namespace {

@@ -68,7 +68,7 @@
 #include "pcn/daemon/load_gen.hpp"
 #include "pcn/obs/bench_report.hpp"
 #include "pcn/obs/report.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 
 namespace {
 

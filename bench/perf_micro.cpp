@@ -17,7 +17,6 @@
 #include "pcn/markov/closed_form.hpp"
 #include "pcn/markov/steady_state.hpp"
 #include "pcn/obs/metrics.hpp"
-#include "pcn/obs/timer.hpp"
 #include "pcn/obs/tsc.hpp"
 #include "pcn/optimize/annealing.hpp"
 #include "pcn/optimize/exhaustive.hpp"
@@ -177,29 +176,21 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsHistogramObserve);
 
-void BM_ObsTraceRingRecord(benchmark::State& state) {
-  pcn::obs::TraceRing ring(256);
-  std::int64_t now = 0;
-  for (auto _ : state) {
-    ring.record("bench", now, 10, 0);
-    ++now;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsTraceRingRecord);
-
-void BM_ObsScopedTimer(benchmark::State& state) {
-  // Two clock reads + one counter add + one ring record per scope.
+void BM_ObsTscSpan(benchmark::State& state) {
+  // One timed span as the slot loops take it: two serialized TSC reads
+  // and one histogram observe of the delta.
   pcn::obs::MetricsRegistry registry;
-  pcn::obs::Counter counter = registry.counter("bench.timer.ns");
-  pcn::obs::TraceRing ring(256);
+  pcn::obs::Histogram histogram = registry.histogram(
+      "bench.phase.span_us", pcn::obs::phase_us_buckets());
+  pcn::obs::tsc_ticks_per_ns();  // calibrate outside the timed loop
   for (auto _ : state) {
-    pcn::obs::ScopedTimer timer(counter, &ring, "bench");
-    benchmark::DoNotOptimize(timer.elapsed_ns());
+    const std::uint64_t start = pcn::obs::serialized_tsc();
+    histogram.observe(
+        pcn::obs::tsc_delta_us(start, pcn::obs::serialized_tsc()));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ObsScopedTimer);
+BENCHMARK(BM_ObsTscSpan);
 
 void BM_ObsRegistrySnapshot(benchmark::State& state) {
   pcn::obs::MetricsRegistry registry;

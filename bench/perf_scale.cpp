@@ -17,7 +17,7 @@
 
 #include "gbench_report.hpp"
 #include "pcn/costs/cost_model.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/optimize/exhaustive.hpp"
 #include "pcn/sim/network.hpp"
 #include "pcn/sim/simd_engine.hpp"

@@ -7,7 +7,7 @@
 #include "pcn/common/error.hpp"
 #include "pcn/markov/steady_state.hpp"
 #include "pcn/obs/metrics.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 
 namespace pcn::costs {
 namespace {
@@ -152,10 +152,6 @@ void CostModel::bind_metrics(obs::MetricsRegistry& registry) const {
   cache_->ns_counter.add(cache_->stats.solve_ns);
   cache_->partition_hit_counter.add(cache_->stats.partition_hits);
   cache_->partition_miss_counter.add(cache_->stats.partition_misses);
-}
-
-std::int64_t CostModel::solves_performed() const {
-  return solve_cache_stats().misses;
 }
 
 std::vector<double> CostModel::steady_state(int threshold) const {

@@ -122,10 +122,6 @@ class CostModel {
   /// share the binding.
   void bind_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Deprecated: use solve_cache_stats().misses (this thin shim is kept so
-  /// pre-telemetry callers and tests keep working unchanged).
-  std::int64_t solves_performed() const;
-
  private:
   struct SolveCache;
 

@@ -12,7 +12,7 @@
 #include "pcn/common/error.hpp"
 #include "pcn/obs/json.hpp"
 #include "pcn/obs/report.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 
 namespace pcn::daemon {
 

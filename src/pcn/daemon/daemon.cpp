@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <chrono>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -153,9 +152,7 @@ Pcnd::Pcnd(const PcndConfig& config)
                                     obs::exponential_buckets(1.0, 2.0, 16));
   depth_hist_ = registry_.histogram("daemon.queue.depth",
                                     obs::exponential_buckets(1.0, 2.0, 12));
-  // 1 µs .. ~0.5 s upper bounds cover a phase at any scale we run.
-  const std::vector<double> phase_bounds =
-      obs::exponential_buckets(1.0, 2.0, 20);
+  const std::vector<double> phase_bounds = obs::phase_us_buckets();
   phase_ingest_ = registry_.histogram("daemon.phase.ingest_us", phase_bounds);
   phase_apply_ = registry_.histogram("daemon.phase.apply_us", phase_bounds);
   phase_drain_ = registry_.histogram("daemon.phase.drain_us", phase_bounds);
@@ -591,7 +588,7 @@ void Pcnd::run_slots(std::int64_t slots, SlotWorkload* workload) {
     timeseries_->sample(slot_, registry_.snapshot());
   }
   const int worker_count = std::max(1, config_.threads);
-  const auto start = std::chrono::steady_clock::now();
+  const std::int64_t start_ns = obs::monotonic_ns();
 
   std::atomic<bool> failed{false};
   std::exception_ptr error;
@@ -675,9 +672,7 @@ void Pcnd::run_slots(std::int64_t slots, SlotWorkload* workload) {
   worker_body(0);
   for (std::thread& thread : threads) thread.join();
 
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  wall_ns_.add(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+  wall_ns_.add(obs::monotonic_ns() - start_ns);
   if (error != nullptr) std::rethrow_exception(error);
 }
 

@@ -23,7 +23,7 @@
 // exact; the recording is an unbiased 1/N sample of the per-call detail.
 //
 // This header is sim-agnostic on purpose (plain integer fields), sitting
-// next to metrics.hpp / timer.hpp below the simulator; the simulator-side
+// next to metrics.hpp / tsc.hpp below the simulator; the simulator-side
 // wiring lives in sim/network.cpp and the exporters in trace_export.hpp.
 #pragma once
 

@@ -81,6 +81,12 @@ constexpr HelpEntry kHelpTable[] = {
     {"sim.run.wall_ns", "Wall time spent simulating, nanoseconds."},
     {"sim.run.slots", "Slots simulated."},
     {"sim.terminal.slots", "Terminal-slots simulated."},
+    {"sim.phase.segment_us",
+     "Per-segment slot-loop time, microseconds (serialized TSC)."},
+    {"sim.phase.shard_us",
+     "Per-shard share of a segment, microseconds (serialized TSC)."},
+    {"sim.phase.page_us",
+     "Sampled (1-in-32) page time, microseconds (serialized TSC)."},
 };
 
 std::string escape_help(std::string_view help) {
@@ -369,13 +375,19 @@ std::string to_json(const RunReport& report) {
   json.member("run_seconds", report.run_wall_seconds);
   json.key("breakdown_seconds").begin_object();
   for (const CounterSample& counter : report.metrics.counters) {
-    // Duration counters end in ".ns" or "_ns" by convention (see
+    // Duration totals end in ".ns" or "_ns" by convention (see
     // docs/observability.md); strip the unit for the per-phase breakdown.
-    if (counter.name.size() > 3 &&
-        (counter.name.compare(counter.name.size() - 3, 3, ".ns") == 0 ||
-         counter.name.compare(counter.name.size() - 3, 3, "_ns") == 0)) {
+    if (counter.name.ends_with(".ns") || counter.name.ends_with("_ns")) {
       json.member(counter.name.substr(0, counter.name.size() - 3),
                   double(counter.value) / 1e9);
+    }
+  }
+  for (const HistogramSample& histogram : report.metrics.histograms) {
+    // Span histograms (`*.phase.*_us`) contribute their summed time.
+    if (histogram.name.find(".phase.") != std::string::npos &&
+        histogram.name.ends_with("_us")) {
+      json.member(histogram.name.substr(0, histogram.name.size() - 3),
+                  histogram.sum / 1e6);
     }
   }
   json.end_object();

@@ -7,12 +7,13 @@
 //   * A JSON `RunReport` (`make_run_report` + `to_json`) — schema
 //     `pcn.run_report.v1`: config echo, aggregate event counts, per-slot
 //     cost rates, per-ring occupancy, the paging-delay histogram, a
-//     wall-time breakdown from the `.ns` timer counters, throughput
+//     wall-time breakdown from the `_ns` total counters and the sums of
+//     the `*.phase.*_us` span histograms, throughput
 //     (slots/sec and terminals x slots/sec), and the full metrics
 //     snapshot.  `pcnctl simulate --metrics-out=FILE` and the tests
 //     consume this shape; see docs/observability.md for how to read one.
 //
-// This header is the top layer of pcn/obs: unlike metrics.hpp / timer.hpp
+// This header is the top layer of pcn/obs: unlike metrics.hpp / tsc.hpp
 // it may depend on the simulator.
 #pragma once
 

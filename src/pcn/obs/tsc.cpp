@@ -1,13 +1,21 @@
 #include "pcn/obs/tsc.hpp"
 
+#include <chrono>
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #include <x86intrin.h>
 #endif
 
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/metrics.hpp"
 
 namespace pcn::obs {
+
+std::int64_t monotonic_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 std::uint64_t serialized_tsc() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -38,6 +46,10 @@ double tsc_ticks_per_ns() {
 #else
   return 1.0;  // ticks are nanoseconds
 #endif
+}
+
+std::vector<double> phase_us_buckets() {
+  return exponential_buckets(1.0, 2.0, 20);
 }
 
 }  // namespace pcn::obs

@@ -1,4 +1,5 @@
-// Serialized time-stamp-counter reads for cycle-accurate span timing.
+// The project's one timing module: serialized time-stamp-counter reads
+// for per-span timing, and the steady clock for whole-run totals.
 //
 // `serialized_tsc()` brackets a region with RDTSCP + LFENCE on x86 (the
 // read waits for every prior instruction to retire and fences later ones
@@ -16,13 +17,22 @@
 // (every machine this project targets); the fallback's steady clock is
 // cross-core by construction.
 //
-// bench/perf_micro's per-slot-cost section and the pcnd phase profiler
-// (daemon.phase.* histograms) share this machinery.
+// The rule: a per-span timing (one slot phase, one shard's segment, one
+// sampled page) is a serialized-TSC delta observed into a `*.phase.*_us`
+// histogram with phase_us_buckets(); a whole-run total is a
+// monotonic_ns() difference added into a `*.run.wall_ns` counter.  The
+// pcnd phase profiler (daemon.phase.*), the simulator's spans
+// (sim.phase.*) and bench/perf_micro's per-slot-cost section all share
+// this machinery.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace pcn::obs {
+
+/// Monotonic timestamp in nanoseconds (std::chrono::steady_clock).
+std::int64_t monotonic_ns();
 
 /// A serialized TSC read (nanoseconds on non-x86).
 std::uint64_t serialized_tsc();
@@ -35,5 +45,9 @@ double tsc_ticks_per_ns();
 inline double tsc_delta_us(std::uint64_t start, std::uint64_t end) {
   return static_cast<double>(end - start) / tsc_ticks_per_ns() / 1000.0;
 }
+
+/// Bucket upper bounds shared by every `*.phase.*_us` histogram: 1 µs
+/// doubling to ~0.5 s, which covers a phase at any scale we run.
+std::vector<double> phase_us_buckets();
 
 }  // namespace pcn::obs

@@ -7,7 +7,7 @@
 
 #include "pcn/common/error.hpp"
 #include "pcn/obs/metrics.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 
 namespace pcn::optimize {
 

@@ -3,7 +3,7 @@
 #include "pcn/common/error.hpp"
 #include "pcn/markov/chain_spec.hpp"
 #include "pcn/obs/metrics.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/optimize/exhaustive.hpp"
 
 namespace pcn::optimize {

@@ -40,7 +40,7 @@
 #include "pcn/obs/json.hpp"
 #include "pcn/obs/metrics.hpp"
 #include "pcn/obs/report.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 
 #include "pcn/proto/messages.hpp"
 #include "pcn/proto/wire.hpp"

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <exception>
-#include <optional>
 #include <thread>
 
 #include "pcn/common/error.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/proto/messages.hpp"
 #include "pcn/sim/runtime_stats.hpp"
 #include "pcn/sim/simd_engine.hpp"
@@ -91,8 +90,6 @@ Network::Network(NetworkConfig config, CostWeights weights)
   PCN_EXPECT(config.threads >= 0, "Network: threads must be >= 0");
   PCN_EXPECT(config.flight_sample_every >= 1,
              "Network: flight_sample_every must be >= 1");
-  PCN_EXPECT(config_.trace_ring_capacity >= 1,
-             "Network: trace_ring_capacity must be >= 1");
   PCN_EXPECT(config_.timeseries_every_slots >= 0,
              "Network: timeseries_every_slots must be >= 0");
   if (config_.timeseries_every_slots > 0) {
@@ -103,8 +100,10 @@ Network::Network(NetworkConfig config, CostWeights weights)
         config_.timeseries_every_slots);
   }
   if (config_.collect_runtime_stats) {
-    stats_ = std::make_unique<obs_detail::RuntimeStats>(
-        *registry_, config_.trace_ring_capacity);
+    stats_ = std::make_unique<obs_detail::RuntimeStats>(*registry_);
+    // Calibrate the TSC here, so the ~2 ms spin does not land inside the
+    // first timed span.
+    obs::tsc_ticks_per_ns();
   }
   if (config_.record_flight) {
     obs::FlightRecorderConfig flight_config;
@@ -117,10 +116,6 @@ Network::Network(NetworkConfig config, CostWeights weights)
 }
 
 Network::~Network() = default;
-
-const obs::TraceRing* Network::trace() const {
-  return stats_ == nullptr ? nullptr : &stats_->trace;
-}
 
 TerminalId Network::add_terminal(TerminalSpec spec) {
   PCN_EXPECT(spec.mobility && spec.update_policy && spec.paging_policy,
@@ -147,11 +142,11 @@ TerminalId Network::add_terminal(TerminalSpec spec) {
 void Network::run(std::int64_t slots) {
   PCN_EXPECT(slots >= 0, "Network::run: slot count must be >= 0");
   select_engine();
-  std::optional<obs::ScopedTimer> run_timer;
+  std::int64_t run_start_ns = 0;
   if (stats_ != nullptr) {
+    run_start_ns = obs::monotonic_ns();
     stats_->run_count.increment();
     stats_->run_slots.add(slots);
-    run_timer.emplace(stats_->run_wall_ns, &stats_->trace, "net.run");
   }
   const SimTime end = events_.now() + slots;
   Scratch scratch;
@@ -211,7 +206,10 @@ void Network::run(std::int64_t slots) {
     }
   }
   events_.run_until(end);  // drains nothing; syncs the kernel clock
-  if (stats_ != nullptr) stats_->flush(scratch.tally, scratch.shard);
+  if (stats_ != nullptr) {
+    stats_->flush(scratch.tally, scratch.shard);
+    stats_->run_wall_ns.add(obs::monotonic_ns() - run_start_ns);
+  }
   // Costs come from the integer counts, not running sums, so every engine
   // (and every split of the run) reports the same bits.
   for (Attachment& attachment : attachments_) {
@@ -257,12 +255,11 @@ void Network::run_segment(SimTime first, SimTime last, Scratch& scratch) {
   const bool inline_run = threads <= 1 || observer_ != nullptr ||
                           attachments_.size() < 2 ||
                           work < kParallelWorkFloor;
-  std::optional<obs::ScopedTimer> segment_timer;
+  std::uint64_t segment_start = 0;
   if (stats_ != nullptr) {
+    segment_start = obs::serialized_tsc();
     stats_->segment_count.increment();
     if (!inline_run) stats_->segment_parallel.increment();
-    segment_timer.emplace(stats_->segment_wall_ns, &stats_->trace,
-                          "net.segment");
   }
   if (fastpath_revalidate_ && simd_ != nullptr) {
     // Events ran since the fast path was selected; re-verify the fleet.
@@ -311,15 +308,16 @@ void Network::run_segment(SimTime first, SimTime last, Scratch& scratch) {
     }
   }
   events_.run_until(last);  // no events in the range; syncs the clock
+  if (stats_ != nullptr) {
+    stats_->segment_us.observe(
+        obs::tsc_delta_us(segment_start, obs::serialized_tsc()));
+  }
 }
 
 void Network::run_shard(std::size_t begin, std::size_t end, SimTime first,
                         SimTime last, Scratch& scratch) {
-  std::optional<obs::ScopedTimer> shard_timer;
-  if (stats_ != nullptr) {
-    shard_timer.emplace(stats_->shard_wall_ns, &stats_->trace, "net.shard",
-                        scratch.shard);
-  }
+  const std::uint64_t shard_start =
+      stats_ != nullptr ? obs::serialized_tsc() : 0;
   // Terminal-major: each terminal's whole slot range in one pass.  Because
   // terminals share no mutable state, this produces exactly the metrics of
   // the slot-major order, with better locality and no synchronization.
@@ -335,6 +333,9 @@ void Network::run_shard(std::size_t begin, std::size_t end, SimTime first,
     // Flush here, not just at run() end: worker-local scratches die with
     // the segment.
     stats_->flush(scratch.tally, scratch.shard);
+    stats_->shard_us.observe(
+        obs::tsc_delta_us(shard_start, obs::serialized_tsc()),
+        scratch.shard);
   }
 }
 
@@ -499,19 +500,15 @@ void Network::deliver_call(Attachment& attachment, SimTime now,
     event.distance = arrival_distance;
     scratch.flight->append(event);
   }
-  // The paging fan-out is the expensive rare path: span every Nth page so
-  // the trace ring shows where a slow run spent its cycles while the clock
-  // reads stay off the common path (counts stay exact via the tally;
-  // sim.page.sampled records the sampling denominator).
+  // The paging fan-out is the expensive rare path: time every Nth page
+  // into sim.phase.page_us so the TSC reads stay off the common path
+  // (counts stay exact via the tally; sim.page.sampled records the
+  // sampling denominator).
   const bool sampled =
       stats_ != nullptr &&
       scratch.tally.page_tick++ % kPageSampleEvery == 0;
-  std::optional<obs::ScopedTimer> page_timer;
-  if (sampled) {
-    ++scratch.tally.page_sampled;
-    page_timer.emplace(stats_->page_wall_ns, &stats_->trace, "net.page",
-                       scratch.shard);
-  }
+  const std::uint64_t page_start = sampled ? obs::serialized_tsc() : 0;
+  if (sampled) ++scratch.tally.page_sampled;
   // One scratch buffer holds every polling group of the page; clear+refill
   // reuses its capacity, so steady-state paging performs no allocations.
   std::vector<geometry::Cell>& group = scratch.poll_group;
@@ -639,6 +636,9 @@ void Network::deliver_call(Attachment& attachment, SimTime now,
   if (stats_ != nullptr) {
     ++scratch.tally.pages;
     if (sampled) {
+      stats_->page_us.observe(
+          obs::tsc_delta_us(page_start, obs::serialized_tsc()),
+          scratch.shard);
       stats_->page_cycles.observe(static_cast<double>(cycles_used),
                                   scratch.shard);
       stats_->page_polled.observe(

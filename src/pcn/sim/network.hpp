@@ -31,10 +31,6 @@
 #include "pcn/sim/slot_draw.hpp"
 #include "pcn/sim/terminal.hpp"
 
-namespace pcn::obs {
-class TraceRing;
-}  // namespace pcn::obs
-
 namespace pcn::sim {
 
 enum class SlotSemantics { kChainFaithful, kIndependent };
@@ -105,7 +101,8 @@ struct NetworkConfig {
   /// for every thread count.  Runs with an observer attached always execute
   /// single-threaded to keep the callback order stable.
   int threads = 1;
-  /// Collect runtime telemetry (counters, timers, trace spans) into
+  /// Collect runtime telemetry (event counters, the `sim.run.wall_ns`
+  /// total and the serialized-TSC `sim.phase.*_us` span histograms) into
   /// metrics_registry() while the simulation runs.  Purely observational:
   /// the instrumentation never touches the RNG streams or the event order,
   /// so every TerminalMetrics value is bit-identical with the flag on or
@@ -128,9 +125,6 @@ struct NetworkConfig {
   /// (FlightRecorderConfig::shard_capacity).  A full shard drops further
   /// events and counts them.
   std::size_t flight_shard_capacity = 0;
-  /// Capacity of the hot-path span trace ring (collect_runtime_stats),
-  /// rounded up to a power of two.
-  std::size_t trace_ring_capacity = 256;
   /// Run-timeline capture: sample the metrics registry into a
   /// pcn.timeseries.v1 recording every N slots (0 = off).  Implies
   /// collect_runtime_stats.  Sampling is keyed to the slot index at
@@ -194,10 +188,6 @@ class Network {
   /// docs/observability.md for the metric name scheme, and
   /// obs::make_run_report for the exported JSON view.
   obs::MetricsRegistry& metrics_registry() const { return *registry_; }
-
-  /// The span trace ring, or nullptr unless collect_runtime_stats is set.
-  /// Dump format() on error paths to see the last hot-path spans.
-  const obs::TraceRing* trace() const;
 
   /// The per-call flight recorder, or nullptr unless
   /// NetworkConfig::record_flight is set.  Read it (merged(), exporters)
@@ -290,7 +280,7 @@ class Network {
   /// Always constructed (cheap, and callers may want their own metrics);
   /// heap-held so handles into it survive moves of the Network.
   std::unique_ptr<obs::MetricsRegistry> registry_;
-  /// Pre-resolved metric handles + trace ring; null unless
+  /// Pre-resolved metric handles; null unless
   /// config_.collect_runtime_stats (the hot path then skips telemetry with
   /// one predicted branch).
   std::unique_ptr<obs_detail::RuntimeStats> stats_;

@@ -7,7 +7,7 @@
 #pragma once
 
 #include "pcn/obs/metrics.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/sim/network.hpp"
 
 namespace pcn::sim::obs_detail {
@@ -18,22 +18,17 @@ namespace pcn::sim::obs_detail {
 /// telemetry overhead inside the 3% gate (tools/run_checks.sh).
 inline constexpr std::uint64_t kPageSampleEvery = 32;
 
-/// Pre-resolved telemetry handles for the simulation hot paths, plus the
-/// span trace ring.  Resolved once at Network construction so the slot
-/// loop never touches the registry's name index; every increment is one
-/// relaxed atomic add on a per-shard cell (see docs/observability.md for
-/// the metric catalogue).
+/// Pre-resolved telemetry handles for the simulation hot paths.  Resolved
+/// once at Network construction so the slot loop never touches the
+/// registry's name index; every increment is one relaxed atomic add on a
+/// per-shard cell (see docs/observability.md for the metric catalogue).
 struct RuntimeStats {
-  RuntimeStats(obs::MetricsRegistry& registry, std::size_t trace_capacity)
-      : trace(trace_capacity),
-        run_count(registry.counter("sim.run.count")),
+  explicit RuntimeStats(obs::MetricsRegistry& registry)
+      : run_count(registry.counter("sim.run.count")),
         run_slots(registry.counter("sim.run.slots")),
         run_wall_ns(registry.counter("sim.run.wall_ns")),
         segment_count(registry.counter("sim.segment.count")),
         segment_parallel(registry.counter("sim.segment.parallel")),
-        segment_wall_ns(registry.counter("sim.segment.wall_ns")),
-        shard_wall_ns(registry.counter("sim.shard.wall_ns")),
-        page_wall_ns(registry.counter("sim.page.wall_ns")),
         terminal_slots(registry.counter("sim.terminal.slots")),
         moves(registry.counter("sim.terminal.moves")),
         updates(registry.counter("sim.update.count")),
@@ -46,7 +41,13 @@ struct RuntimeStats {
                                        obs::linear_buckets(1.0, 1.0, 8))),
         page_polled(registry.histogram("sim.page.polled_per_call",
                                        obs::exponential_buckets(1.0, 2.0,
-                                                                10))) {}
+                                                                10))),
+        segment_us(registry.histogram("sim.phase.segment_us",
+                                      obs::phase_us_buckets())),
+        shard_us(registry.histogram("sim.phase.shard_us",
+                                    obs::phase_us_buckets())),
+        page_us(registry.histogram("sim.phase.page_us",
+                                   obs::phase_us_buckets())) {}
 
   /// Drains a worker's plain tally into the registry (a handful of relaxed
   /// atomic adds, once per shard segment).  The sampling tick survives.
@@ -64,14 +65,15 @@ struct RuntimeStats {
     tally.page_tick = tick;
   }
 
-  obs::TraceRing trace;
   obs::Counter run_count, run_slots, run_wall_ns;
-  obs::Counter segment_count, segment_parallel, segment_wall_ns;
-  obs::Counter shard_wall_ns, page_wall_ns;
+  obs::Counter segment_count, segment_parallel;
   obs::Counter terminal_slots, moves;
   obs::Counter updates, updates_lost;
   obs::Counter pages, page_fallbacks, page_sampled, polled_cells;
   obs::Histogram page_cycles, page_polled;
+  /// Serialized-TSC span timings (obs/tsc.hpp), microseconds: one event-
+  /// free segment, one shard's share of it, one sampled page.
+  obs::Histogram segment_us, shard_us, page_us;
 };
 
 }  // namespace pcn::sim::obs_detail

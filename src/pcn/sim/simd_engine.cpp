@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
-#include <optional>
 #include <string_view>
 #include <thread>
 
 #include "pcn/geometry/cell.hpp"
 #include "pcn/obs/flight_recorder.hpp"
-#include "pcn/obs/timer.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/sim/runtime_stats.hpp"
 #include "pcn/sim/simd_kernel.hpp"
 #include "pcn/sim/terminal.hpp"
@@ -55,18 +54,18 @@ void sink_update(RareSink& sink, const LaneBlock& b, int lane, SimTime t,
   sink.flight->append(reset_event);
 }
 
-std::int64_t sink_page_begin(RareSink& sink) {
+std::uint64_t sink_page_begin(RareSink& sink) {
   if (sink.stats == nullptr ||
       sink.tally->page_tick++ % obs_detail::kPageSampleEvery != 0) {
-    return -1;
+    return 0;
   }
   ++sink.tally->page_sampled;
-  return obs::monotonic_ns();
+  return obs::serialized_tsc();
 }
 
 void sink_call(RareSink& sink, const LaneBlock& b, int lane, SimTime t,
                std::uint64_t call_id, std::int64_t dist, std::size_t h,
-               std::int64_t page_start, std::uint32_t& seq) {
+               std::uint64_t page_start, std::uint32_t& seq) {
   const PagingTable& tab = *b.table[lane];
   if (sink.recorder != nullptr && sink.recorder->sampled(call_id)) {
     // The same lifecycle the reference engine records: arrival, one
@@ -109,12 +108,10 @@ void sink_call(RareSink& sink, const LaneBlock& b, int lane, SimTime t,
     found.found = true;
     sink.flight->append(found);
   }
-  if (page_start >= 0) {
-    // The sampled page's span, as the reference engine's net.page.
-    const std::int64_t elapsed = obs::monotonic_ns() - page_start;
-    sink.stats->page_wall_ns.add(elapsed, sink.shard);
-    sink.stats->trace.record("net.page", page_start, elapsed,
-                             static_cast<std::uint32_t>(sink.shard));
+  if (page_start != 0) {
+    // The sampled page's span, as the reference engine times it.
+    sink.stats->page_us.observe(
+        obs::tsc_delta_us(page_start, obs::serialized_tsc()), sink.shard);
     sink.stats->page_cycles.observe(static_cast<double>(h + 1), sink.shard);
     sink.stats->page_polled.observe(static_cast<double>(tab.cum[h]),
                                     sink.shard);
@@ -301,11 +298,8 @@ void SimdEngine::run_segment(SimTime first, SimTime last,
 void SimdEngine::run_shard(std::size_t begin, std::size_t end,
                            SimTime first, SimTime last,
                            Network::Scratch& scratch) {
-  std::optional<obs::ScopedTimer> shard_timer;
-  if (net_.stats_ != nullptr) {
-    shard_timer.emplace(net_.stats_->shard_wall_ns, &net_.stats_->trace,
-                        "net.shard", scratch.shard);
-  }
+  const std::uint64_t shard_start =
+      net_.stats_ != nullptr ? obs::serialized_tsc() : 0;
   for (std::size_t b = begin; b < end; b += kBatchLanes) {
     run_batch(b, std::min(end, b + kBatchLanes), first, last, scratch);
   }
@@ -313,6 +307,9 @@ void SimdEngine::run_shard(std::size_t begin, std::size_t end,
     scratch.tally.terminal_slots +=
         (last - first + 1) * static_cast<std::int64_t>(end - begin);
     net_.stats_->flush(scratch.tally, scratch.shard);
+    net_.stats_->shard_us.observe(
+        obs::tsc_delta_us(shard_start, obs::serialized_tsc()),
+        scratch.shard);
   }
 }
 

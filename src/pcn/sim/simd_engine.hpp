@@ -13,7 +13,7 @@
 // recordings are bit-identical to it at every thread count and on every
 // ISA path (tests/sim/test_engine_identity.cpp, test_simd_engine.cpp).
 // Telemetry keeps every event counter exact (folded in at batch sync);
-// the 1-in-N sampled page detail (net.page span, sim.page.cycles,
+// the 1-in-N sampled page detail (sim.phase.page_us, sim.page.cycles,
 // sim.page.polled_per_call) and flight recording hang off the kernels'
 // scalar rare path.
 //

@@ -98,15 +98,15 @@ inline constexpr std::int32_t kDirR[8] = {0, -1, -1, 0, 1, 1, 0, 0};
 
 /// Sink hooks.  sink_update runs before the update counter moves (the
 /// pre-increment ordinal samples the update).  sink_page_begin opens a
-/// call's page — the start clock when the page is sampled for telemetry,
-/// else -1 — and sink_call closes it after the paging.  `seq` numbers the
-/// flight events of the (terminal, slot).
+/// call's page — the serialized TSC when the page is sampled for
+/// telemetry, else 0 — and sink_call closes it after the paging.  `seq`
+/// numbers the flight events of the (terminal, slot).
 void sink_update(RareSink& sink, const LaneBlock& b, int lane, SimTime t,
                  std::int64_t dist, std::uint32_t& seq);
-std::int64_t sink_page_begin(RareSink& sink);
+std::uint64_t sink_page_begin(RareSink& sink);
 void sink_call(RareSink& sink, const LaneBlock& b, int lane, SimTime t,
                std::uint64_t call_id, std::int64_t dist, std::size_t h,
-               std::int64_t page_start, std::uint32_t& seq);
+               std::uint64_t page_start, std::uint32_t& seq);
 
 /// Scalar rare-event tail for one lane at slot `t`: the location update
 /// (dist > threshold) and/or the call.  `dist` is the post-move ring
@@ -138,8 +138,8 @@ inline void rare_slot(const KernelParams& kp, const LaneBlock& b, int lane,
     dist = 0;
   }
   if (called) {
-    const std::int64_t page_start =
-        kp.sink != nullptr ? sink_page_begin(*kp.sink) : -1;
+    const std::uint64_t page_start =
+        kp.sink != nullptr ? sink_page_begin(*kp.sink) : 0;
     const std::uint64_t call_id = b.page_id[lane]++;
     const PagingTable& tab = *b.table[lane];
     // The containment invariant puts the terminal in the subarea of its

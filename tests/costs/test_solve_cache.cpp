@@ -35,7 +35,7 @@ TEST(SolveCache, MatchesUncachedSolverForAllKindsAndThresholds) {
       }
     }
     // The repeat pass above hit the cache: one solve per threshold.
-    EXPECT_EQ(model.solves_performed(), 65);
+    EXPECT_EQ(model.solve_cache_stats().misses, 65);
   }
 }
 
@@ -47,23 +47,23 @@ TEST(SolveCache, OneTotalCostCallTriggersExactlyOneSolve) {
     options.scheme = scheme;
     const CostModel model = CostModel::exact(Dimension::kTwoD, kProfile,
                                              kWeights, options);
-    ASSERT_EQ(model.solves_performed(), 0);
+    ASSERT_EQ(model.solve_cache_stats().misses, 0);
     model.total_cost(7, DelayBound(3));
-    EXPECT_EQ(model.solves_performed(), 1)
+    EXPECT_EQ(model.solve_cache_stats().misses, 1)
         << "scheme " << static_cast<int>(scheme);
     // Every decomposition of the same evaluation shares that solve.
     model.update_cost(7);
     model.paging_cost(7, DelayBound(3));
     model.partition(7, DelayBound(3));
     model.cost(7, DelayBound(3));
-    EXPECT_EQ(model.solves_performed(), 1);
+    EXPECT_EQ(model.solve_cache_stats().misses, 1);
     // A new threshold costs one more; a new bound at a known threshold is
     // free (the steady state does not depend on m).
     model.total_cost(8, DelayBound(3));
-    EXPECT_EQ(model.solves_performed(), 2);
+    EXPECT_EQ(model.solve_cache_stats().misses, 2);
     model.total_cost(7, DelayBound(5));
     model.total_cost(7, DelayBound::unbounded());
-    EXPECT_EQ(model.solves_performed(), 2);
+    EXPECT_EQ(model.solve_cache_stats().misses, 2);
   }
 }
 
@@ -72,10 +72,10 @@ TEST(SolveCache, SweepSolvesEachThresholdOnce) {
       CostModel::exact(Dimension::kTwoD, kProfile, kWeights);
   const int d_max = 40;
   for (int d = 0; d <= d_max; ++d) model.total_cost(d, DelayBound(3));
-  EXPECT_EQ(model.solves_performed(), d_max + 1);
+  EXPECT_EQ(model.solve_cache_stats().misses, d_max + 1);
   // A second full sweep is free.
   for (int d = 0; d <= d_max; ++d) model.total_cost(d, DelayBound(3));
-  EXPECT_EQ(model.solves_performed(), d_max + 1);
+  EXPECT_EQ(model.solve_cache_stats().misses, d_max + 1);
 }
 
 TEST(SolveCache, CopiesShareTheCache) {
@@ -83,11 +83,11 @@ TEST(SolveCache, CopiesShareTheCache) {
       CostModel::exact(Dimension::kTwoD, kProfile, kWeights);
   model.total_cost(5, DelayBound(2));
   const CostModel copy = model;  // same immutable inputs -> shared cache
-  EXPECT_EQ(copy.solves_performed(), 1);
+  EXPECT_EQ(copy.solve_cache_stats().misses, 1);
   copy.total_cost(5, DelayBound(2));
-  EXPECT_EQ(copy.solves_performed(), 1);
+  EXPECT_EQ(copy.solve_cache_stats().misses, 1);
   copy.total_cost(6, DelayBound(2));
-  EXPECT_EQ(model.solves_performed(), 2);
+  EXPECT_EQ(model.solve_cache_stats().misses, 2);
 }
 
 TEST(SolveCache, CachedPartitionEqualsFreshConstruction) {

@@ -32,6 +32,7 @@ TEST(TimeseriesFilter, ExcludesTimingAndSampledSeries) {
   // Wall-clock series are not deterministic.
   EXPECT_FALSE(timeseries_series_is_deterministic("daemon.run.wall_ns"));
   EXPECT_FALSE(timeseries_series_is_deterministic("daemon.phase.ingest_us"));
+  EXPECT_FALSE(timeseries_series_is_deterministic("sim.phase.shard_us"));
   EXPECT_FALSE(timeseries_series_is_deterministic("x.y.ns"));
   EXPECT_FALSE(timeseries_series_is_deterministic("x.y.us"));
   // The 1-in-32 sampled paging probes depend on flush interleaving.

@@ -92,11 +92,11 @@
 #include "pcn/obs/json.hpp"
 #include "pcn/obs/report.hpp"
 #include "pcn/obs/rolling_window.hpp"
-#include "pcn/obs/timer.hpp"
 #include "pcn/obs/timeseries.hpp"
 #include "pcn/obs/timeseries_codec.hpp"
 #include "pcn/obs/trace_analysis.hpp"
 #include "pcn/obs/trace_export.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/proto/wire.hpp"
 #include "pcn/sim/network.hpp"
 #include "pcn/sim/simd_engine.hpp"

@@ -3,9 +3,10 @@
 #   1. default build  — tier-1 (deterministic) then tier-2 (randomized
 #      property + statistical suites),
 #   2. TSan build     — the sharded-simulator determinism suite, the
-#      lock-free metrics-registry concurrency suite, and the
-#      admin-introspection snapshot-under-fire suite (scrapes racing the
-#      4-thread slot loop),
+#      telemetry-identity suite (4 shard workers observing the
+#      sim.phase.* span histograms), the lock-free metrics-registry
+#      concurrency suite, and the admin-introspection snapshot-under-fire
+#      suite (scrapes racing the 4-thread slot loop),
 #   3. ASan+UBSan     — the wire codec, message framing and fuzz
 #      round-trip suites (truncation/corruption paths must not overread),
 #   4. observability gate — slot-loop throughput with collect_runtime_stats
@@ -87,13 +88,13 @@ ctest --preset tier2 -j "$jobs"
 echo "== [2/12] TSan: sharded-run determinism + metrics registry =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
-  --target test_network_parallel test_metrics_registry \
-  test_admin_introspection
+  --target test_network_parallel test_telemetry_identity \
+  test_metrics_registry test_admin_introspection
 # The admin-introspection suite reuses the soak scale knobs; TSan's
 # slowdown wants the smoke scenario.
 PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
   ctest --test-dir build-tsan \
-  -R 'NetworkParallel|MetricsRegistry|AdminIntrospection' \
+  -R 'NetworkParallel|TelemetryIdentity|MetricsRegistry|AdminIntrospection' \
   --output-on-failure -j "$jobs"
 
 echo "== [3/12] ASan+UBSan: wire codec round-trips =="
