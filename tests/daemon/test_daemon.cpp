@@ -14,6 +14,7 @@
 #include "pcn/daemon/load_gen.hpp"
 #include "pcn/daemon/daemon_report.hpp"
 #include "pcn/obs/trace_export.hpp"
+#include "pcn/obs/tsc.hpp"
 #include "pcn/stats/rng.hpp"
 
 namespace pcn::daemon {
@@ -420,6 +421,29 @@ TEST(Pcnd, ClosedLoopWorkloadKeepsOnePageInFlight) {
                          snapshot.counter_value("daemon.page.unknown_terminal"));
   // The closed-loop generator registers a terminal before paging it.
   EXPECT_EQ(snapshot.counter_value("daemon.page.unknown_terminal"), 0);
+}
+
+TEST(Pcnd, PhasesAreTimedOncePerSlotAndTheRunOnTheSteadyClock) {
+  Pcnd daemon(base_config());
+  const std::int64_t before = obs::monotonic_ns();
+  daemon.run_slots(12);
+  const std::int64_t elapsed = obs::monotonic_ns() - before;
+
+  const obs::MetricsSnapshot snapshot = daemon.metrics_registry().snapshot();
+  for (const char* name :
+       {"daemon.phase.ingest_us", "daemon.phase.apply_us",
+        "daemon.phase.drain_us", "daemon.phase.finalize_us"}) {
+    SCOPED_TRACE(name);
+    const obs::HistogramSample* histogram = snapshot.find_histogram(name);
+    ASSERT_NE(histogram, nullptr);
+    EXPECT_EQ(histogram->bounds, obs::phase_us_buckets());
+    EXPECT_EQ(histogram->count, 12);
+  }
+  // The whole-run total is a monotonic_ns() difference taken inside the
+  // caller's own bracket on the same clock.
+  const std::int64_t wall_ns = snapshot.counter_value("daemon.run.wall_ns");
+  EXPECT_GT(wall_ns, 0);
+  EXPECT_LE(wall_ns, elapsed);
 }
 
 TEST(DaemonReport, AccountsAndSerializes) {
