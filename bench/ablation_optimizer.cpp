@@ -72,9 +72,11 @@ int main() {
           update_cost, scan.threshold, scan.total_cost, annealed.threshold,
           annealed.total_cost, penalty(annealed), annealed.evaluations,
           near.threshold, near.total_cost, penalty(near), near.evaluations);
+      // append, not "m" + ...: GCC 12 flags the operator+ form with a
+      // -Wrestrict false positive.
       report
           .add_row((m == 0 ? std::string("unbounded")
-                           : "m" + std::to_string(m)) +
+                           : std::string("m").append(std::to_string(m))) +
                    "/U=" + std::to_string(static_cast<int>(update_cost)))
           .set("scan_d", scan.threshold)
           .set("scan_cost", scan.total_cost)

@@ -51,7 +51,11 @@ void print_panel(pcn::Dimension dim, const char* title,
           m == 0 ? pcn::DelayBound::unbounded() : pcn::DelayBound(m);
       const pcn::optimize::Optimum optimum =
           pcn::optimize::exhaustive_search(model, bound, kMaxThreshold);
-      const std::string key = m == 0 ? "unbounded" : "m" + std::to_string(m);
+      // append, not "m" + ...: GCC 12 flags the operator+ form with a
+      // -Wrestrict false positive.
+      const std::string key =
+          m == 0 ? std::string("unbounded")
+                 : std::string("m").append(std::to_string(m));
       row.set(key + "_d", optimum.threshold);
       row.set(key + "_cost", optimum.total_cost);
       std::printf(" %6.4f (%2d) |", optimum.total_cost, optimum.threshold);

@@ -79,9 +79,11 @@ int main() {
                   approx_raw.threshold, near_cost, corrected.threshold,
                   corrected.total_cost);
       if (approx_raw.threshold != exact.threshold) ++near_misses;
+      // append, not "m" + ...: GCC 12 flags the operator+ form with a
+      // -Wrestrict false positive.
       report
           .add_row((m == 0 ? std::string("unbounded")
-                           : "m" + std::to_string(m)) +
+                           : std::string("m").append(std::to_string(m))) +
                    "/U=" + std::to_string(static_cast<int>(update_cost)))
           .set("exact_d", exact.threshold)
           .set("exact_cost", exact.total_cost)

@@ -270,6 +270,9 @@ std::string AdminServer::render_live_snapshot() {
   json.member("apply", phase_mean("daemon.phase.apply_us"));
   json.member("drain", phase_mean("daemon.phase.drain_us"));
   json.member("finalize", phase_mean("daemon.phase.finalize_us"));
+  json.member("workload", phase_mean("daemon.phase.workload_us"));
+  json.member("enqueue", phase_mean("daemon.phase.enqueue_us"));
+  json.member("serve", phase_mean("daemon.phase.serve_us"));
   json.end_object();
 
   json.key("queues").begin_object();

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <exception>
 #include <thread>
-#include <utility>
 #include <tuple>
+#include <utility>
 
 #include "pcn/obs/timeseries_codec.hpp"
 #include "pcn/obs/tsc.hpp"
@@ -70,6 +69,127 @@ void Pcnd::TerminalTable::grow() {
   }
 }
 
+/// The slot loop's fork-join pool: `helpers` threads that live as long as
+/// the Pcnd and park (a futex-backed std::atomic::wait, no spinning)
+/// between phases.  A phase is `count` shard tasks; the caller and the
+/// helpers claim shards from one atomic ticket, so a helper that wakes
+/// late just finds fewer shards left.  Which thread runs a shard is not
+/// reproducible, and need not be: a shard's work depends only on its
+/// index.
+///
+/// The ticket packs the phase's epoch (high half) over the shards still
+/// unclaimed (low half); the epoch keeps a late helper's claim from
+/// landing in a later phase.  The caller writes the task fields before
+/// it publishes the ticket (release), and a helper reads them only after
+/// a successful claim (acquire), when the phase cannot end before its
+/// shard does, so the fields are stable for every read.
+class Pcnd::SlotPool {
+ public:
+  explicit SlotPool(int helpers) {
+    threads_.reserve(static_cast<std::size_t>(helpers));
+    try {
+      for (int h = 0; h < helpers; ++h) {
+        threads_.emplace_back([this] { helper_main(); });
+      }
+    } catch (...) {
+      shut_down();  // join the helpers already started
+      throw;
+    }
+  }
+
+  ~SlotPool() { shut_down(); }
+
+  SlotPool(const SlotPool&) = delete;
+  SlotPool& operator=(const SlotPool&) = delete;
+
+  /// Runs body(shard) for every shard in [0, count), on the caller and the
+  /// helpers, and returns when all have finished.  A shard's exception is
+  /// rethrown here once every shard has run (the lowest shard's, when
+  /// several throw).
+  template <typename Body>
+  void run(int count, const Body& body) {
+    body_ = &body;
+    invoke_ = [](const void* context, std::uint32_t shard) {
+      (*static_cast<const Body*>(context))(static_cast<int>(shard));
+    };
+    count_ = static_cast<std::uint32_t>(count);
+    errors_.resize(std::max(errors_.size(), static_cast<std::size_t>(count)));
+    done_.store(0, std::memory_order_relaxed);
+    ++epoch_;
+    ticket_.store((std::uint64_t{epoch_} << 32) | count_,
+                  std::memory_order_release);
+    if (!threads_.empty()) {
+      wake_.store(epoch_, std::memory_order_release);
+      wake_.notify_all();
+    }
+    work();
+    for (std::uint32_t done = done_.load(std::memory_order_acquire);
+         done != count_; done = done_.load(std::memory_order_acquire)) {
+      done_.wait(done, std::memory_order_acquire);
+    }
+    std::exception_ptr error;
+    for (std::uint32_t shard = count_; shard-- > 0;) {
+      if (errors_[shard] != nullptr) {
+        error = std::exchange(errors_[shard], nullptr);
+      }
+    }
+    if (error != nullptr) std::rethrow_exception(error);
+  }
+
+ private:
+  void helper_main() {
+    std::uint32_t seen = 0;
+    for (;;) {
+      wake_.wait(seen, std::memory_order_acquire);
+      seen = wake_.load(std::memory_order_acquire);
+      if (stopping_.load(std::memory_order_acquire)) return;
+      work();
+    }
+  }
+
+  void shut_down() {
+    stopping_.store(true, std::memory_order_release);
+    wake_.fetch_add(1, std::memory_order_release);
+    wake_.notify_all();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  /// Claims and runs shards of the phase in flight until none are left.
+  void work() {
+    std::uint64_t ticket = ticket_.load(std::memory_order_acquire);
+    while (static_cast<std::uint32_t>(ticket) != 0) {
+      if (!ticket_.compare_exchange_weak(ticket, ticket - 1,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+        continue;
+      }
+      const std::uint32_t count = count_;
+      const std::uint32_t shard = count - static_cast<std::uint32_t>(ticket);
+      try {
+        invoke_(body_, shard);
+      } catch (...) {
+        errors_[shard] = std::current_exception();
+      }
+      if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
+        done_.notify_one();
+      }
+      ticket = ticket_.load(std::memory_order_acquire);
+    }
+  }
+
+  std::atomic<std::uint64_t> ticket_{0};
+  std::atomic<std::uint32_t> wake_{0};  ///< helpers park on this
+  std::atomic<std::uint32_t> done_{0};  ///< shards finished this phase
+  std::atomic<bool> stopping_{false};
+  // Phase task, written by the caller before the ticket is published.
+  std::uint32_t epoch_ = 0;
+  std::uint32_t count_ = 0;
+  const void* body_ = nullptr;
+  void (*invoke_)(const void*, std::uint32_t) = nullptr;
+  std::vector<std::exception_ptr> errors_;  ///< by shard
+  std::vector<std::thread> threads_;  ///< last: the helpers use the above
+};
+
 void RequestSink::update(const proto::LocationUpdate& update) {
   daemon_->requests_update_.add(1, static_cast<std::size_t>(shard_));
   daemon_->apply_update(shard_, update);
@@ -100,7 +220,11 @@ Pcnd::Pcnd(const PcndConfig& config)
   const auto qs = static_cast<std::size_t>(config_.queue_shards);
   terminals_.resize(ts);
   intents_.resize(ts, std::vector<std::vector<PageIntent>>(qs));
-  queue_shards_.resize(qs);
+  queue_shards_.reserve(qs);
+  for (std::size_t q = 0; q < qs; ++q) {
+    queue_shards_.emplace_back(config_.queue);
+  }
+  workload_ticks_.resize(ts);
   apply_outcomes_.resize(ts);
   shard_batch_.resize(ts);
   if (config_.record_flight) {
@@ -158,6 +282,12 @@ Pcnd::Pcnd(const PcndConfig& config)
   phase_drain_ = registry_.histogram("daemon.phase.drain_us", phase_bounds);
   phase_finalize_ =
       registry_.histogram("daemon.phase.finalize_us", phase_bounds);
+  phase_enqueue_ = registry_.histogram("daemon.phase.enqueue_us", phase_bounds);
+  phase_serve_ = registry_.histogram("daemon.phase.serve_us", phase_bounds);
+  phase_workload_ =
+      registry_.histogram("daemon.phase.workload_us", phase_bounds);
+
+  pool_ = std::make_unique<SlotPool>(config_.threads - 1);
 }
 
 Pcnd::~Pcnd() = default;
@@ -261,194 +391,212 @@ void Pcnd::apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
       .push_back({state->center, terminal_id, page_id, client});
 }
 
-void Pcnd::apply_phase(int worker, int worker_count, std::int64_t slot,
-                       SlotWorkload* workload) {
-  for (int ts = worker; ts < config_.terminal_shards; ts += worker_count) {
-    detail::SeqTracker tracker;
-    for (const std::size_t index :
-         shard_batch_[static_cast<std::size_t>(ts)]) {
-      const DaemonRequest& request = batch_[index];
-      if (request.kind == DaemonRequest::Kind::kUpdate) {
-        apply_update(ts, request.update);
-      } else {
-        apply_page(ts, slot, request.page_id, request.terminal_id,
-                   request.client, workload, &tracker);
-      }
+void Pcnd::apply_shard(int shard, std::int64_t slot, SlotWorkload* workload) {
+  detail::SeqTracker tracker;
+  for (const std::size_t index :
+       shard_batch_[static_cast<std::size_t>(shard)]) {
+    const DaemonRequest& request = batch_[index];
+    if (request.kind == DaemonRequest::Kind::kUpdate) {
+      apply_update(shard, request.update);
+    } else {
+      apply_page(shard, slot, request.page_id, request.terminal_id,
+                 request.client, workload, &tracker);
     }
-    if (workload != nullptr) {
-      RequestSink sink(this, ts, slot, workload);
-      workload->generate(ts, config_.terminal_shards, slot, sink);
-    }
+  }
+  if (workload != nullptr) {
+    RequestSink sink(this, shard, slot, workload);
+    const std::uint64_t start = obs::serialized_tsc();
+    workload->generate(shard, config_.terminal_shards, slot, sink);
+    workload_ticks_[static_cast<std::size_t>(shard)].ticks =
+        obs::serialized_tsc() - start;
   }
 }
 
-void Pcnd::drain_phase(int worker, int worker_count, std::int64_t slot,
-                       SlotWorkload* workload) {
+void Pcnd::drain_shard(int qs, std::int64_t slot, SlotWorkload* workload) {
   const auto max_pending =
       static_cast<std::int64_t>(config_.queue.max_pending);
-  for (int qs = worker; qs < config_.queue_shards; qs += worker_count) {
-    QueueShard& shard = queue_shards_[static_cast<std::size_t>(qs)];
-    const auto shard_index = static_cast<std::size_t>(qs);
+  QueueShard& shard = queue_shards_[static_cast<std::size_t>(qs)];
+  const auto shard_index = static_cast<std::size_t>(qs);
+  const std::uint64_t enqueue_start = obs::serialized_tsc();
 
-    // Enqueue this slot's intents, iterating terminal shards in fixed
-    // order 0..S-1: the per-queue arrival order is independent of both
-    // the thread count and which worker runs this shard.
-    detail::SeqTracker tracker;
-    for (auto& per_terminal_shard : intents_) {
-      auto& list = per_terminal_shard[shard_index];
-      for (const PageIntent& intent : list) {
-        const std::uint32_t run = tracker.next(intent.terminal_id);
-        auto it = shard.queues.find(intent.cell);
-        if (it == shard.queues.end()) {
-          it = shard.queues.emplace(intent.cell,
-                                    BoundedPagingQueue(config_.queue))
-                   .first;
+  // Enqueue this slot's intents, iterating terminal shards in fixed
+  // order 0..S-1: the per-queue arrival order is independent of both
+  // the thread count and which thread runs this shard.
+  detail::SeqTracker tracker;
+  for (auto& per_terminal_shard : intents_) {
+    auto& list = per_terminal_shard[shard_index];
+    for (const PageIntent& intent : list) {
+      const std::uint32_t run = tracker.next(intent.terminal_id);
+      const std::uint32_t cell_index = shard.queues.intern(intent.cell);
+      const BoundedPagingQueue& queue = shard.queues.queue(cell_index);
+      PendingPage page;
+      page.terminal_id = intent.terminal_id;
+      page.page_id = intent.page_id;
+      page.client = intent.client;
+      page.enqueued_slot = slot;
+      PendingPage evicted;
+      const EnqueueResult admit =
+          shard.queues.add(cell_index, page, &evicted);
+      if (admit == EnqueueResult::kEvicted) {
+        // The victim lost its place to the incoming page: report it
+        // dropped (its client sees a kDropped verdict) before the
+        // admitted page's own queued event.  distance=-2 marks an
+        // eviction drop apart from a tail drop's -1.
+        const std::int64_t age = slot - evicted.enqueued_slot;
+        pages_evicted_.add(1, shard_index);
+        sla_violations_.add(1, shard_index);
+        record_page_event(qs, obs::FlightEventType::kPageDropped, slot,
+                          evicted.terminal_id, evicted.page_id,
+                          /*seq=*/3, static_cast<std::int32_t>(age),
+                          /*cells=*/max_pending, /*distance=*/-2,
+                          /*found=*/false);
+        if (config_.collect_outcomes) {
+          shard.outcomes.push_back(
+              {evicted.page_id, evicted.terminal_id,
+               proto::PageOutcomeKind::kDropped, age,
+               static_cast<std::uint32_t>(queue.size()), slot,
+               evicted.client});
         }
-        BoundedPagingQueue& queue = it->second;
-        PendingPage page;
-        page.terminal_id = intent.terminal_id;
-        page.page_id = intent.page_id;
-        page.client = intent.client;
-        page.enqueued_slot = slot;
-        PendingPage evicted;
-        const EnqueueResult admit = queue.add(page, &evicted);
-        if (admit == EnqueueResult::kEvicted) {
-          // The victim lost its place to the incoming page: report it
-          // dropped (its client sees a kDropped verdict) before the
-          // admitted page's own queued event.  distance=-2 marks an
-          // eviction drop apart from a tail drop's -1.
-          const std::int64_t age = slot - evicted.enqueued_slot;
-          pages_evicted_.add(1, shard_index);
+        if (workload != nullptr) {
+          workload->on_outcome(evicted.terminal_id,
+                               proto::PageOutcomeKind::kDropped, slot);
+        }
+      }
+      switch (admit) {
+        case EnqueueResult::kEvicted:  // the incoming page was admitted
+        case EnqueueResult::kQueued: {
+          const auto depth = static_cast<std::int64_t>(queue.size());
+          pages_queued_.add(1, shard_index);
+          depth_hist_.observe(static_cast<double>(depth), shard_index);
+          shard.max_depth = std::max(shard.max_depth, depth);
+          record_page_event(
+              qs, obs::FlightEventType::kPageQueued, slot,
+              intent.terminal_id, intent.page_id, /*seq=*/1, /*cycle=*/-1,
+              /*cells=*/depth,
+              /*distance=*/static_cast<std::int64_t>(
+                  intent.terminal_id %
+                  static_cast<std::uint64_t>(config_.queue.groups)),
+              /*found=*/false);
+          break;
+        }
+        case EnqueueResult::kRefreshed:
+          // The terminal is already pending here; its lifetime was
+          // renewed and the original submit's outcome will cover this
+          // one too.
+          pages_duplicate_.add(1, shard_index);
+          break;
+        case EnqueueResult::kFull: {
+          pages_dropped_.add(1, shard_index);
           sla_violations_.add(1, shard_index);
           record_page_event(qs, obs::FlightEventType::kPageDropped, slot,
-                            evicted.terminal_id, evicted.page_id,
-                            /*seq=*/3, static_cast<std::int32_t>(age),
-                            /*cells=*/max_pending, /*distance=*/-2,
+                            intent.terminal_id, intent.page_id,
+                            /*seq=*/2 + run, /*cycle=*/-1,
+                            /*cells=*/max_pending, /*distance=*/-1,
                             /*found=*/false);
           if (config_.collect_outcomes) {
             shard.outcomes.push_back(
-                {evicted.page_id, evicted.terminal_id,
-                 proto::PageOutcomeKind::kDropped, age,
+                {intent.page_id, intent.terminal_id,
+                 proto::PageOutcomeKind::kDropped, /*queue_delay_slots=*/0,
                  static_cast<std::uint32_t>(queue.size()), slot,
-                 evicted.client});
+                 intent.client});
           }
           if (workload != nullptr) {
-            workload->on_outcome(evicted.terminal_id,
+            workload->on_outcome(intent.terminal_id,
                                  proto::PageOutcomeKind::kDropped, slot);
           }
-        }
-        switch (admit) {
-          case EnqueueResult::kEvicted:  // the incoming page was admitted
-          case EnqueueResult::kQueued: {
-            const auto depth = static_cast<std::int64_t>(queue.size());
-            pages_queued_.add(1, shard_index);
-            depth_hist_.observe(static_cast<double>(depth), shard_index);
-            shard.max_depth = std::max(shard.max_depth, depth);
-            record_page_event(
-                qs, obs::FlightEventType::kPageQueued, slot,
-                intent.terminal_id, intent.page_id, /*seq=*/1, /*cycle=*/-1,
-                /*cells=*/depth,
-                /*distance=*/static_cast<std::int64_t>(
-                    intent.terminal_id %
-                    static_cast<std::uint64_t>(config_.queue.groups)),
-                /*found=*/false);
-            break;
-          }
-          case EnqueueResult::kRefreshed:
-            // The terminal is already pending here; its lifetime was
-            // renewed and the original submit's outcome will cover this
-            // one too.
-            pages_duplicate_.add(1, shard_index);
-            break;
-          case EnqueueResult::kFull: {
-            pages_dropped_.add(1, shard_index);
-            sla_violations_.add(1, shard_index);
-            record_page_event(qs, obs::FlightEventType::kPageDropped, slot,
-                              intent.terminal_id, intent.page_id,
-                              /*seq=*/2 + run, /*cycle=*/-1,
-                              /*cells=*/max_pending, /*distance=*/-1,
-                              /*found=*/false);
-            if (config_.collect_outcomes) {
-              shard.outcomes.push_back(
-                  {intent.page_id, intent.terminal_id,
-                   proto::PageOutcomeKind::kDropped, /*queue_delay_slots=*/0,
-                   static_cast<std::uint32_t>(queue.size()), slot,
-                   intent.client});
-            }
-            if (workload != nullptr) {
-              workload->on_outcome(intent.terminal_id,
-                                   proto::PageOutcomeKind::kDropped, slot);
-            }
-            break;
-          }
+          break;
         }
       }
-      list.clear();
     }
+    list.clear();
+  }
+  const std::uint64_t serve_start = obs::serialized_tsc();
 
-    // Drain every queue against the slot budget.
-    for (auto& [cell, queue] : shard.queues) {
-      if (queue.empty()) continue;
-      shard.served_scratch.clear();
-      shard.expired_scratch.clear();
-      queue.drain(slot, slot_budget_, &shard.served_scratch,
-                  &shard.expired_scratch);
-      std::int64_t cell_delay_sum = 0;
-      for (const ServedPage& served : shard.served_scratch) {
-        const std::int64_t delay = slot - served.page.enqueued_slot;
-        cell_delay_sum += delay;
-        pages_served_.add(1, shard_index);
-        delay_hist_.observe(static_cast<double>(delay), shard_index);
-        bump_dense(shard.delay_hist, static_cast<std::size_t>(delay));
-        if (config_.sla_delay_slots > 0 &&
-            delay > config_.sla_delay_slots) {
-          sla_violations_.add(1, shard_index);
-        }
-        record_page_event(qs, obs::FlightEventType::kPageServed, slot,
-                          served.page.terminal_id, served.page.page_id,
-                          /*seq=*/4, static_cast<std::int32_t>(delay),
-                          static_cast<std::int64_t>(served.depth_before),
-                          /*distance=*/-1, /*found=*/true);
-        if (config_.collect_outcomes) {
-          shard.outcomes.push_back(
-              {served.page.page_id, served.page.terminal_id,
-               proto::PageOutcomeKind::kServed, delay,
-               static_cast<std::uint32_t>(served.depth_before), slot,
-               served.page.client});
-        }
-        if (workload != nullptr) {
-          workload->on_outcome(served.page.terminal_id,
-                               proto::PageOutcomeKind::kServed, slot);
-        }
-      }
-      for (const PendingPage& expired : shard.expired_scratch) {
-        const std::int64_t age = slot - expired.enqueued_slot;
-        pages_expired_.add(1, shard_index);
+  // Drain the cells with pending pages against the slot budget, in the
+  // order they became non-empty (a pure function of the slot's inputs).
+  for (const std::uint32_t cell_index : shard.queues.active()) {
+    BoundedPagingQueue& queue = shard.queues.queue(cell_index);
+    shard.served_scratch.clear();
+    shard.expired_scratch.clear();
+    queue.drain(slot, slot_budget_, &shard.served_scratch,
+                &shard.expired_scratch);
+    std::int64_t cell_delay_sum = 0;
+    for (const ServedPage& served : shard.served_scratch) {
+      const std::int64_t delay = slot - served.page.enqueued_slot;
+      cell_delay_sum += delay;
+      pages_served_.add(1, shard_index);
+      delay_hist_.observe(static_cast<double>(delay), shard_index);
+      bump_dense(shard.delay_hist, static_cast<std::size_t>(delay));
+      if (config_.sla_delay_slots > 0 &&
+          delay > config_.sla_delay_slots) {
         sla_violations_.add(1, shard_index);
-        record_page_event(qs, obs::FlightEventType::kPageExpired, slot,
-                          expired.terminal_id, expired.page_id, /*seq=*/4,
-                          static_cast<std::int32_t>(age), /*cells=*/0,
-                          /*distance=*/-1, /*found=*/false);
-        if (config_.collect_outcomes) {
-          shard.outcomes.push_back(
-              {expired.page_id, expired.terminal_id,
-               proto::PageOutcomeKind::kExpired, age,
-               static_cast<std::uint32_t>(queue.size()), slot,
-               expired.client});
-        }
-        if (workload != nullptr) {
-          workload->on_outcome(expired.terminal_id,
-                               proto::PageOutcomeKind::kExpired, slot);
-        }
       }
-      if (planner_ != nullptr && !shard.served_scratch.empty()) {
-        // Staged for the serial FINALIZE fold; the planner's aggregate
-        // is commutative, so shard-map iteration order cannot matter.
-        shard.planner_samples.push_back(
-            {cell, static_cast<std::int64_t>(shard.served_scratch.size()),
-             cell_delay_sum});
+      record_page_event(qs, obs::FlightEventType::kPageServed, slot,
+                        served.page.terminal_id, served.page.page_id,
+                        /*seq=*/4, static_cast<std::int32_t>(delay),
+                        static_cast<std::int64_t>(served.depth_before),
+                        /*distance=*/-1, /*found=*/true);
+      if (config_.collect_outcomes) {
+        shard.outcomes.push_back(
+            {served.page.page_id, served.page.terminal_id,
+             proto::PageOutcomeKind::kServed, delay,
+             static_cast<std::uint32_t>(served.depth_before), slot,
+             served.page.client});
+      }
+      if (workload != nullptr) {
+        workload->on_outcome(served.page.terminal_id,
+                             proto::PageOutcomeKind::kServed, slot);
       }
     }
+    for (const PendingPage& expired : shard.expired_scratch) {
+      const std::int64_t age = slot - expired.enqueued_slot;
+      pages_expired_.add(1, shard_index);
+      sla_violations_.add(1, shard_index);
+      record_page_event(qs, obs::FlightEventType::kPageExpired, slot,
+                        expired.terminal_id, expired.page_id, /*seq=*/4,
+                        static_cast<std::int32_t>(age), /*cells=*/0,
+                        /*distance=*/-1, /*found=*/false);
+      if (config_.collect_outcomes) {
+        shard.outcomes.push_back(
+            {expired.page_id, expired.terminal_id,
+             proto::PageOutcomeKind::kExpired, age,
+             static_cast<std::uint32_t>(queue.size()), slot,
+             expired.client});
+      }
+      if (workload != nullptr) {
+        workload->on_outcome(expired.terminal_id,
+                             proto::PageOutcomeKind::kExpired, slot);
+      }
+    }
+    if (planner_ != nullptr && !shard.served_scratch.empty()) {
+      // Staged for the serial FINALIZE fold.  Each cell has its own EWMA
+      // and the global fold is a sum, so the fold is independent of the
+      // order cells are drained in.
+      shard.planner_samples.push_back(
+          {shard.queues.cell(cell_index),
+           static_cast<std::int64_t>(shard.served_scratch.size()),
+           cell_delay_sum});
+    }
+  }
+  shard.queues.prune_active();
+  const std::uint64_t serve_end = obs::serialized_tsc();
+  shard.enqueue_ticks = serve_start - enqueue_start;
+  shard.serve_ticks = serve_end - serve_start;
+}
+
+void Pcnd::observe_shard_phases(bool with_workload) {
+  std::uint64_t enqueue = 0;
+  std::uint64_t serve = 0;
+  for (const QueueShard& shard : queue_shards_) {
+    enqueue += shard.enqueue_ticks;
+    serve += shard.serve_ticks;
+  }
+  phase_enqueue_.observe(obs::tsc_delta_us(0, enqueue));
+  phase_serve_.observe(obs::tsc_delta_us(0, serve));
+  if (with_workload) {
+    std::uint64_t generate = 0;
+    for (const WorkloadTicks& shard : workload_ticks_) generate += shard.ticks;
+    phase_workload_.observe(obs::tsc_delta_us(0, generate));
   }
 }
 
@@ -486,14 +634,14 @@ void Pcnd::finalize_phase() {
   if (config_.live_stats &&
       (slot_ % LiveQueueStats::kStrideSlots == 0 || slot_ == run_last_slot_)) {
     // Read-only occupancy walk for the admin plane.  Runs in the serial
-    // FINALIZE step, so no queue mutates underneath it.  Strided: the
-    // walk touches every queue, so doing it each slot would cost ~1% of
-    // a batch run, while every 16th slot (plus the run's last slot, so
-    // a finished run always exposes its final state) is still orders of
-    // magnitude fresher than any realistic scrape cadence.  Allocation-
-    // free in steady state: the walk fills reused member buffers and
-    // swaps them with the published copy, so enabling live stats does
-    // not perturb the allocator under the hot loop.
+    // FINALIZE step, so no queue mutates underneath it, and visits only
+    // the active cell lists: O(cells with pending pages).  Strided to
+    // every 16th slot plus the run's last slot (so a finished run always
+    // exposes its final state) — under serve's run_slots(1) cadence that
+    // is every slot.  Allocation-free in steady state: the walk fills
+    // reused member buffers and swaps them with the published copy, so
+    // enabling live stats does not perturb the allocator under the hot
+    // loop.
     LiveQueueStats& stats = live_stats_publish_scratch_;
     stats.slot = slot_;
     stats.total_pending = 0;
@@ -501,16 +649,16 @@ void Pcnd::finalize_phase() {
     stats.max_depth_ever = max_depth_ever_;
     live_stats_scratch_.clear();
     for (const QueueShard& shard : queue_shards_) {
-      for (const auto& [cell, queue] : shard.queues) {
-        const auto depth = static_cast<std::int64_t>(queue.size());
-        if (depth == 0) continue;
+      for (const std::uint32_t cell_index : shard.queues.active()) {
+        const auto depth =
+            static_cast<std::int64_t>(shard.queues.queue(cell_index).size());
         stats.total_pending += depth;
         ++stats.cells_pending;
-        live_stats_scratch_.push_back({cell, depth});
+        live_stats_scratch_.push_back({shard.queues.cell(cell_index), depth});
       }
     }
     // Cells are unique, so (depth desc, q, r) is a strict total order and
-    // the top-K list is the same regardless of map iteration order.
+    // the top-K list is the same regardless of walk order.
     const std::size_t top = std::min(LiveQueueStats::kTopCells,
                                      live_stats_scratch_.size());
     std::partial_sort(
@@ -537,7 +685,7 @@ void Pcnd::finalize_phase() {
       (slot_ % config_.timeseries_every_slots == 0 ||
        slot_ - 1 == run_last_slot_)) {
     // Serial step, after every worker's counters for the finished slot
-    // are barrier-visible: the snapshot is a pure function of the slot
+    // are visible (the fork-joins waited for them): the snapshot is a pure function of the slot
     // index, so the capture is bit-identical at any thread count (the
     // recorder's name filter keeps wall-clock series out).
     const std::lock_guard<std::mutex> lock(timeseries_mutex_);
@@ -587,91 +735,39 @@ void Pcnd::run_slots(std::int64_t slots, SlotWorkload* workload) {
     const std::lock_guard<std::mutex> lock(timeseries_mutex_);
     timeseries_->sample(slot_, registry_.snapshot());
   }
-  const int worker_count = std::max(1, config_.threads);
   const std::int64_t start_ns = obs::monotonic_ns();
-
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  auto fail = [&](std::exception_ptr e) {
-    const std::lock_guard<std::mutex> lock(error_mutex);
-    if (error == nullptr) error = e;
-    failed.store(true, std::memory_order_release);
-  };
-
   // Calibrate the TSC once before the loop so the first slot's phase
   // timings don't absorb the ~2 ms calibration spin.
   obs::tsc_ticks_per_ns();
 
-  // One barrier, three waits per slot; the completion function runs the
-  // serial INGEST / FINALIZE steps while every worker is parked.  The
-  // completion is also where the phase profiler lives: serialized-TSC
-  // stamps at completion entry/exit bracket each barrier-separated span
-  // (INGEST and FINALIZE inside their completions, APPLY and DRAIN as the
-  // gap between one completion's exit and the next one's entry), and the
-  // completion is single-threaded so plain locals suffice.
-  int phase = 0;
-  std::uint64_t completion_exit = 0;
-  auto completion = [this, &phase, &completion_exit, &failed,
-                     &fail]() noexcept {
-    const std::uint64_t entry = obs::serialized_tsc();
-    if (!failed.load(std::memory_order_acquire)) {
-      // The serial phases allocate (batch, outcome, histogram growth); an
-      // exception here must take the same fail()/rethrow path as the
-      // worker phases instead of std::terminate through the noexcept.
-      try {
-        if (phase == 0) {
-          ingest_phase();
-          phase_ingest_.observe(
-              obs::tsc_delta_us(entry, obs::serialized_tsc()));
-        } else if (phase == 1) {
-          phase_apply_.observe(obs::tsc_delta_us(completion_exit, entry));
-        } else {
-          phase_drain_.observe(obs::tsc_delta_us(completion_exit, entry));
-          finalize_phase();
-          phase_finalize_.observe(
-              obs::tsc_delta_us(entry, obs::serialized_tsc()));
-        }
-      } catch (...) {
-        fail(std::current_exception());
-      }
-    }
-    phase = (phase + 1) % 3;
-    completion_exit = obs::serialized_tsc();
-  };
-  std::barrier sync(worker_count, completion);
-
-  auto worker_body = [&](int worker) {
+  // INGEST and FINALIZE run here on the caller; APPLY and DRAIN fork-join
+  // over the pool.  Each phase is one serialized-TSC pair on the caller.
+  std::exception_ptr error;
+  try {
     for (std::int64_t i = 0; i < slots; ++i) {
-      sync.arrive_and_wait();  // INGEST for slot_
+      const std::uint64_t ingest_start = obs::serialized_tsc();
+      ingest_phase();
+      const std::uint64_t apply_start = obs::serialized_tsc();
       const std::int64_t slot = slot_;
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          apply_phase(worker, worker_count, slot, workload);
-        } catch (...) {
-          fail(std::current_exception());
-        }
-      }
-      sync.arrive_and_wait();  // all APPLY intents visible
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          drain_phase(worker, worker_count, slot, workload);
-        } catch (...) {
-          fail(std::current_exception());
-        }
-      }
-      sync.arrive_and_wait();  // FINALIZE, ++slot_
+      pool_->run(config_.terminal_shards, [this, slot, workload](int shard) {
+        apply_shard(shard, slot, workload);
+      });
+      const std::uint64_t drain_start = obs::serialized_tsc();
+      pool_->run(config_.queue_shards, [this, slot, workload](int shard) {
+        drain_shard(shard, slot, workload);
+      });
+      const std::uint64_t finalize_start = obs::serialized_tsc();
+      phase_ingest_.observe(obs::tsc_delta_us(ingest_start, apply_start));
+      phase_apply_.observe(obs::tsc_delta_us(apply_start, drain_start));
+      phase_drain_.observe(obs::tsc_delta_us(drain_start, finalize_start));
+      observe_shard_phases(workload != nullptr);
+      finalize_phase();
+      phase_finalize_.observe(
+          obs::tsc_delta_us(finalize_start, obs::serialized_tsc()));
     }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(worker_count - 1));
-  for (int w = 1; w < worker_count; ++w) {
-    threads.emplace_back(worker_body, w);
+  } catch (...) {
+    error = std::current_exception();
   }
-  worker_body(0);
-  for (std::thread& thread : threads) thread.join();
-
   wall_ns_.add(obs::monotonic_ns() - start_ns);
   if (error != nullptr) std::rethrow_exception(error);
 }
@@ -712,12 +808,12 @@ Pcnd::TerminalInfo Pcnd::terminal_info(std::uint64_t terminal_id) const {
 }
 
 std::int64_t Pcnd::queue_depth(geometry::Cell cell) const {
-  const QueueShard& shard =
-      queue_shards_[static_cast<std::size_t>(queue_shard_of(cell))];
-  const auto it = shard.queues.find(cell);
-  return it == shard.queues.end()
+  const CellQueueTable& queues =
+      queue_shards_[static_cast<std::size_t>(queue_shard_of(cell))].queues;
+  const std::uint32_t index = queues.find(cell);
+  return index == CellQueueTable::kNone
              ? 0
-             : static_cast<std::int64_t>(it->second.size());
+             : static_cast<std::int64_t>(queues.queue(index).size());
 }
 
 }  // namespace pcn::daemon

@@ -17,20 +17,22 @@
 //   * Two fixed shard counts, independent of the thread count: terminal
 //     state lives in `terminal_shards` open-addressing tables keyed by
 //     terminal_id mod the shard count, and cell queues live in
-//     `queue_shards` maps keyed by a cell hash.  Threads own shards
-//     (shard s -> worker s % T), never split them.
-//   * A slot is three barrier-separated phases.  INGEST (serial, in the
-//     barrier completion): drain the ring once, stable-sort the batch by
-//     (terminal, kind, sequence, page), bucket per terminal shard.
-//     APPLY (parallel over terminal shards): apply updates in sorted
-//     order, route page submits to per-(terminal-shard, queue-shard)
-//     intent lists; the attached SlotWorkload generates its shard's
-//     traffic here, after the ring batch, in terminal-id order.  DRAIN
-//     (parallel over queue shards): enqueue intents in terminal-shard
-//     order 0..S-1 — an order no thread count can perturb — then drain
-//     every queue against the slot budget.
+//     `queue_shards` CellQueueTables keyed by a cell hash.  A shard is the
+//     unit of work: one thread runs all of it, and its result depends only
+//     on its index, never on which thread ran it.
+//   * A slot is four phases on one fork-join pool of threads - 1 parked
+//     workers plus the caller.  INGEST (serial, caller): drain the ring
+//     once, stable-sort the batch by (terminal, kind, sequence, page),
+//     bucket per terminal shard.  APPLY (fork-join over terminal shards):
+//     apply updates in sorted order, route page submits to per-(terminal-
+//     shard, queue-shard) intent lists; the attached SlotWorkload
+//     generates its shard's traffic here, after the ring batch, in
+//     terminal-id order.  DRAIN (fork-join over queue shards): enqueue
+//     intents in terminal-shard order 0..S-1 — an order no thread count
+//     can perturb — then drain the shard's active cells (those with
+//     pending pages) against the slot budget.  FINALIZE (serial, caller).
 //   * Per-shard metric cells (MetricsRegistry) and per-shard flight/
-//     outcome buffers, merged at the slot barrier in shard order.
+//     outcome buffers, merged in FINALIZE in shard order.
 //
 // The daemon never blocks a producer: a full ring rejects the push and
 // the rejection is counted (daemon.request.rejected_ring_full).
@@ -40,7 +42,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "pcn/capacity/paging_capacity.hpp"
@@ -80,9 +81,11 @@ struct PcndConfig {
   /// Walk the queue shards in FINALIZE and publish live occupancy
   /// (total pending, cells with pending pages, top-K deepest cells) for
   /// live_queue_stats() and the admin endpoint.  Read-only over queue
-  /// state, so the determinism contract is unaffected; the walk runs
+  /// state, so the determinism contract is unaffected.  The walk runs
   /// every LiveQueueStats::kStrideSlots-th slot plus the last slot of
-  /// each run_slots call, so its cost amortizes to noise in batch runs.
+  /// each run_slots call — under serve's run_slots(1) cadence, every
+  /// slot — and visits only the active cell lists, so it costs
+  /// O(cells with pending pages), not O(cells ever paged).
   bool live_stats = false;
   /// Flight recording of page lifecycle events (sampled by page id).
   bool record_flight = false;
@@ -116,11 +119,10 @@ class SlotWorkload;
 
 /// Point-in-time paging-queue occupancy published from the serial
 /// FINALIZE step when PcndConfig::live_stats is on — every
-/// kStrideSlots-th slot and always on the last slot of a run, so the
-/// walk's cost amortizes to noise while staying far fresher than any
-/// scrape cadence.  `deepest` holds up to kTopCells cells ordered by
-/// depth descending (ties broken by cell coordinates, so the list is
-/// identical at any thread count).
+/// kStrideSlots-th slot and always on the last slot of a run, far
+/// fresher than any scrape cadence.  `deepest` holds up to kTopCells
+/// cells ordered by depth descending (ties broken by cell coordinates, so
+/// the list is identical at any thread count).
 struct LiveQueueStats {
   static constexpr std::size_t kTopCells = 8;
   static constexpr std::int64_t kStrideSlots = 16;
@@ -201,7 +203,9 @@ class Pcnd {
   bool submit(const DaemonRequest& request);
 
   /// Runs `slots` slots of the ingest/apply/drain loop, with `workload`
-  /// (may be null) generating in-loop traffic.
+  /// (may be null) generating in-loop traffic.  An exception from any
+  /// phase (a throwing workload included) ends the call and is rethrown
+  /// here; the slot in flight is left partly applied.
   void run_slots(std::int64_t slots, SlotWorkload* workload = nullptr);
 
   /// Next slot to be processed (slots completed so far).
@@ -294,12 +298,6 @@ class Pcnd {
     std::uint32_t client = 0;
   };
 
-  struct CellHash {
-    std::size_t operator()(const geometry::Cell& cell) const noexcept {
-      return geometry::HexCellHash{}(cell);
-    }
-  };
-
   /// One cell's served pages for the slot, staged for the planner's
   /// serial FINALIZE fold.
   struct CellServeSample {
@@ -309,30 +307,42 @@ class Pcnd {
   };
 
   struct QueueShard {
-    std::unordered_map<geometry::Cell, BoundedPagingQueue, CellHash> queues;
+    explicit QueueShard(const PagingQueueConfig& config) : queues(config) {}
+    CellQueueTable queues;
     std::vector<ServedPage> served_scratch;
     std::vector<PendingPage> expired_scratch;
     std::vector<PageOutcomeEvent> outcomes;
     std::vector<CellServeSample> planner_samples;
     std::vector<std::int64_t> delay_hist;  ///< dense, index = delay slots
     std::int64_t max_depth = 0;
+    /// This slot's DRAIN halves, serialized-TSC ticks.
+    std::uint64_t enqueue_ticks = 0;
+    std::uint64_t serve_ticks = 0;
   };
+
+  /// One terminal shard's SlotWorkload::generate time this slot, padded so
+  /// shards run by different threads never share a line.
+  struct alignas(64) WorkloadTicks {
+    std::uint64_t ticks = 0;
+  };
+
+  class SlotPool;
 
   int terminal_shard_of(std::uint64_t terminal_id) const {
     return static_cast<int>(
         terminal_id % static_cast<std::uint64_t>(config_.terminal_shards));
   }
   int queue_shard_of(geometry::Cell cell) const {
-    return static_cast<int>(CellHash{}(cell) %
+    return static_cast<int>(geometry::HexCellHash{}(cell) %
                             static_cast<std::size_t>(config_.queue_shards));
   }
 
   void ingest_phase();
-  void apply_phase(int worker, int worker_count, std::int64_t slot,
-                   SlotWorkload* workload);
-  void drain_phase(int worker, int worker_count, std::int64_t slot,
-                   SlotWorkload* workload);
+  void apply_shard(int shard, std::int64_t slot, SlotWorkload* workload);
+  void drain_shard(int shard, std::int64_t slot, SlotWorkload* workload);
   void finalize_phase();
+  /// Observes the per-shard DRAIN halves and generate time of the slot.
+  void observe_shard_phases(bool with_workload);
 
   void apply_update(int shard, const proto::LocationUpdate& update);
   void apply_page(int shard, std::int64_t slot, std::uint64_t page_id,
@@ -358,6 +368,7 @@ class Pcnd {
   /// intents_[terminal_shard][queue_shard]: pages routed this slot.
   std::vector<std::vector<std::vector<PageIntent>>> intents_;
   std::vector<QueueShard> queue_shards_;
+  std::vector<WorkloadTicks> workload_ticks_;  ///< per terminal shard
   /// Unknown-terminal drop outcomes produced in APPLY, per terminal shard.
   std::vector<std::vector<PageOutcomeEvent>> apply_outcomes_;
 
@@ -411,13 +422,23 @@ class Pcnd {
   obs::Gauge cells_pending_gauge_;
   obs::Histogram delay_hist_;
   obs::Histogram depth_hist_;
-  // Per-slot barrier-phase timing (serialized TSC, microseconds).  These
-  // are histograms, not counters, so the determinism fingerprint over
-  // counters is untouched by wall-clock jitter.
+  // Per-slot phase timing (serialized TSC, microseconds).  These are
+  // histograms, not counters, so the determinism fingerprint over
+  // counters is untouched by wall-clock jitter.  ingest/apply/drain/
+  // finalize are caller-side spans; enqueue/serve (DRAIN's halves) and
+  // workload (SlotWorkload::generate inside APPLY) are per-shard spans
+  // summed over the slot's shards.
   obs::Histogram phase_ingest_;
   obs::Histogram phase_apply_;
   obs::Histogram phase_drain_;
   obs::Histogram phase_finalize_;
+  obs::Histogram phase_enqueue_;
+  obs::Histogram phase_serve_;
+  obs::Histogram phase_workload_;
+
+  /// The slot loop's workers; declared last so it is destroyed (its
+  /// threads joined) before any state they could touch.
+  std::unique_ptr<SlotPool> pool_;
 };
 
 }  // namespace pcn::daemon

@@ -130,7 +130,7 @@ class ClosedLoopWorkload final : public SlotWorkload {
   std::once_flag layout_once_;
   std::vector<Shard> shards_;
   /// outstanding_[t] != 0 while terminal t has a page in flight.  Plain
-  /// bytes, not atomics: for one terminal the daemon's phase barriers
+  /// bytes, not atomics: for one terminal the daemon's fork-join phases
   /// order every access (generate in APPLY, the verdict in APPLY or a
   /// later DRAIN), and closed loop means at most one verdict per slot.
   std::vector<std::uint8_t> outstanding_;

@@ -1,8 +1,36 @@
 #include "pcn/daemon/paging_queue.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace pcn::daemon {
+
+void PageRing::grow(std::size_t limit) {
+  PCN_ASSERT(count_ < limit);
+  std::vector<PendingPage> grown(
+      std::min(std::max(kInitialCapacity, slots_.size() * 2), limit));
+  for (std::size_t i = 0; i < count_; ++i) grown[i] = (*this)[i];
+  slots_ = std::move(grown);
+  head_ = 0;
+}
+
+void PageRing::push_back(const PendingPage& page, std::size_t limit) {
+  if (count_ == slots_.size()) grow(limit);
+  slots_[at(count_)] = page;
+  ++count_;
+}
+
+void PageRing::pop_front() {
+  PCN_ASSERT(count_ > 0);
+  head_ = at(1);
+  --count_;
+}
+
+void PageRing::erase(std::size_t i) {
+  PCN_ASSERT(i < count_);
+  for (std::size_t j = i + 1; j < count_; ++j) (*this)[j - 1] = (*this)[j];
+  --count_;
+}
 
 BoundedPagingQueue::BoundedPagingQueue(const PagingQueueConfig& config)
     : config_(config),
@@ -15,9 +43,10 @@ BoundedPagingQueue::BoundedPagingQueue(const PagingQueueConfig& config)
 }
 
 bool BoundedPagingQueue::contains(std::uint64_t terminal_id) const {
-  const auto& group = groups_[static_cast<std::size_t>(group_of(terminal_id))];
-  for (const PendingPage& page : group) {
-    if (page.terminal_id == terminal_id) return true;
+  const PageRing& group =
+      groups_[static_cast<std::size_t>(group_of(terminal_id))];
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (group[i].terminal_id == terminal_id) return true;
   }
   return false;
 }
@@ -77,7 +106,7 @@ bool BoundedPagingQueue::evict_most_slack(std::int64_t incoming_deadline,
   if (victim_group < 0 || victim_deadline < incoming_deadline) return false;
   auto& group = groups_[static_cast<std::size_t>(victim_group)];
   *evicted = group[victim_index];
-  group.erase(group.begin() + static_cast<std::ptrdiff_t>(victim_index));
+  group.erase(victim_index);
   --size_;
   return true;
 }
@@ -87,7 +116,8 @@ EnqueueResult BoundedPagingQueue::add(const PendingPage& page,
   auto& group = groups_[static_cast<std::size_t>(group_of(page.terminal_id))];
   // Dedup before the capacity check (osmo paging_add_identity): a refresh
   // of an already-pending terminal must succeed even on a full queue.
-  for (PendingPage& pending : group) {
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    PendingPage& pending = group[i];
     if (pending.terminal_id == page.terminal_id) {
       pending.expiry_slot =
           std::max(pending.expiry_slot,
@@ -121,7 +151,7 @@ EnqueueResult BoundedPagingQueue::add(const PendingPage& page,
         break;
     }
   }
-  group.push_back(accepted);
+  group.push_back(accepted, config_.max_pending);
   ++size_;
   return result;
 }
@@ -129,7 +159,7 @@ EnqueueResult BoundedPagingQueue::add(const PendingPage& page,
 namespace {
 
 /// Pops expired entries off the head of `group` into `expired`.
-void pop_expired_heads(std::deque<PendingPage>& group, std::int64_t slot,
+void pop_expired_heads(PageRing& group, std::int64_t slot,
                        std::vector<PendingPage>* expired, std::size_t* size) {
   while (!group.empty() && group.front().expiry_slot < slot) {
     expired->push_back(group.front());
@@ -171,6 +201,67 @@ int BoundedPagingQueue::drain(std::int64_t slot, int budget,
   }
   if (budget > 0) next_group_ = g;
   return served_count;
+}
+
+CellQueueTable::CellQueueTable(const PagingQueueConfig& config)
+    : config_(config) {}
+
+std::size_t CellQueueTable::probe(geometry::Cell cell) const {
+  // Homed by the hash's high half: the daemon picks a cell's queue shard
+  // from its low bits, so those are nearly constant within one table.
+  const std::size_t mask = buckets_.size() - 1;
+  std::size_t bucket = static_cast<std::size_t>(
+      static_cast<std::uint64_t>(geometry::HexCellHash{}(cell)) >> 32);
+  for (;; ++bucket) {
+    const Bucket& entry = buckets_[bucket & mask];
+    if (entry.index == kNone || entry.cell == cell) return bucket & mask;
+  }
+}
+
+std::uint32_t CellQueueTable::find(geometry::Cell cell) const {
+  if (cells_.empty()) return kNone;
+  return buckets_[probe(cell)].index;
+}
+
+std::uint32_t CellQueueTable::intern(geometry::Cell cell) {
+  if ((cells_.size() + 1) * 2 > buckets_.size()) {
+    rehash(std::max<std::size_t>(16, buckets_.size() * 2));
+  }
+  Bucket& entry = buckets_[probe(cell)];
+  if (entry.index == kNone) {
+    PCN_EXPECT(cells_.size() < kNone, "CellQueueTable: too many cells");
+    // The queue first: its constructor validates the config, and a throw
+    // must leave the table as it was.
+    queues_.emplace_back(config_);
+    cells_.push_back(cell);
+    entry.cell = cell;
+    entry.index = static_cast<std::uint32_t>(cells_.size() - 1);
+  }
+  return entry.index;
+}
+
+void CellQueueTable::rehash(std::size_t buckets) {
+  buckets_.assign(buckets, Bucket{});
+  for (std::size_t index = 0; index < cells_.size(); ++index) {
+    Bucket& entry = buckets_[probe(cells_[index])];
+    entry.cell = cells_[index];
+    entry.index = static_cast<std::uint32_t>(index);
+  }
+}
+
+EnqueueResult CellQueueTable::add(std::uint32_t index, const PendingPage& page,
+                                  PendingPage* evicted) {
+  BoundedPagingQueue& queue = queues_[index];
+  const bool was_empty = queue.empty();
+  const EnqueueResult result = queue.add(page, evicted);
+  if (was_empty && !queue.empty()) active_.push_back(index);
+  return result;
+}
+
+void CellQueueTable::prune_active() {
+  std::erase_if(active_, [this](std::uint32_t index) {
+    return queues_[index].empty();
+  });
 }
 
 }  // namespace pcn::daemon

@@ -18,6 +18,14 @@
 //     `lifetime_slots` of its enqueue is discarded at drain time and
 //     reported as expired, never served.
 //
+// Storage.  Each group is a PageRing: a FIFO over contiguous storage that
+// doubles when full, capped at max_pending, so steady-state enqueue and
+// serve never touch the allocator.  A daemon queue shard keeps its cells'
+// queues in a CellQueueTable: cells interned into dense indices, queues
+// in one flat vector, and an active list of the cells with pending pages,
+// so a drain costs what the pending pages cost, not what the cells ever
+// paged cost.
+//
 // The queue itself is single-threaded by design — pcnd partitions cells
 // into fixed shards and each shard is touched by exactly one worker per
 // slot, so no lock is needed here and results cannot depend on thread
@@ -25,10 +33,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "pcn/common/error.hpp"
+#include "pcn/geometry/cell.hpp"
 
 namespace pcn::daemon {
 
@@ -97,6 +105,42 @@ enum class EnqueueResult : std::uint8_t {
   kEvicted = 3,    ///< accepted; an existing entry was evicted to make room
 };
 
+/// FIFO of pending pages over contiguous circular storage.  Capacity
+/// starts at kInitialCapacity on the first push and doubles when full, up
+/// to the `limit` the caller passes (the queue's max_pending); it never
+/// shrinks, so a group that once held k pages serves k again without
+/// allocating.
+class PageRing {
+ public:
+  static constexpr std::size_t kInitialCapacity = 4;
+
+  bool empty() const { return count_ == 0; }
+  std::size_t size() const { return count_; }
+
+  PendingPage& front() { return slots_[head_]; }
+  const PendingPage& front() const { return slots_[head_]; }
+  /// The i-th oldest entry.
+  PendingPage& operator[](std::size_t i) { return slots_[at(i)]; }
+  const PendingPage& operator[](std::size_t i) const { return slots_[at(i)]; }
+
+  /// Appends at the tail; grows first when full (never beyond `limit`).
+  void push_back(const PendingPage& page, std::size_t limit);
+  void pop_front();
+  /// Removes the i-th oldest entry, keeping the others' order.
+  void erase(std::size_t i);
+
+ private:
+  std::size_t at(std::size_t i) const {
+    const std::size_t index = head_ + i;
+    return index >= slots_.size() ? index - slots_.size() : index;
+  }
+  void grow(std::size_t limit);
+
+  std::vector<PendingPage> slots_;  ///< capacity == slots_.size()
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+};
+
 class BoundedPagingQueue {
  public:
   explicit BoundedPagingQueue(const PagingQueueConfig& config);
@@ -142,9 +186,67 @@ class BoundedPagingQueue {
   }
 
   PagingQueueConfig config_;
-  std::vector<std::deque<PendingPage>> groups_;
+  std::vector<PageRing> groups_;
   std::size_t size_ = 0;
   int next_group_ = 0;  ///< where the next drain starts its rotation
+};
+
+/// One queue shard's cell queues.  Cells are interned into dense indices
+/// 0..size()-1 by an open-addressing table (linear probing over a
+/// power-of-two bucket array, load factor <= 1/2); the queues live in one
+/// flat vector by index; and `active()` lists the indices whose queue has
+/// pending pages, in the order they last became non-empty.  That order is
+/// a pure function of the add/drain sequence, so a walk over it is as
+/// reproducible as the calls that built it.
+///
+/// The two mutators keep the list exact: add() appends an index whose
+/// queue goes from empty to non-empty, and prune_active() drops the
+/// indices whose queue a drain emptied (only a drain empties a queue).
+/// So enqueue through add(), never queue(index).add(), and prune after
+/// draining through queue(index).
+class CellQueueTable {
+ public:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  explicit CellQueueTable(const PagingQueueConfig& config);
+
+  /// Cells interned so far.
+  std::size_t size() const { return cells_.size(); }
+  /// Index of `cell`, or kNone when it was never interned.
+  std::uint32_t find(geometry::Cell cell) const;
+  /// Index of `cell`, interned with an empty queue on first sight.
+  std::uint32_t intern(geometry::Cell cell);
+
+  geometry::Cell cell(std::uint32_t index) const { return cells_[index]; }
+  BoundedPagingQueue& queue(std::uint32_t index) { return queues_[index]; }
+  const BoundedPagingQueue& queue(std::uint32_t index) const {
+    return queues_[index];
+  }
+
+  /// BoundedPagingQueue::add on `index`'s queue, keeping the active list.
+  EnqueueResult add(std::uint32_t index, const PendingPage& page,
+                    PendingPage* evicted);
+
+  /// Indices with pending pages (after prune_active(), exactly those).
+  const std::vector<std::uint32_t>& active() const { return active_; }
+  /// Drops the indices whose queue is now empty, keeping the others' order.
+  void prune_active();
+
+ private:
+  struct Bucket {
+    geometry::Cell cell{};
+    std::uint32_t index = kNone;  ///< kNone = empty bucket
+  };
+
+  /// The bucket holding `cell`, or the empty bucket ending its probe run.
+  std::size_t probe(geometry::Cell cell) const;
+  void rehash(std::size_t buckets);
+
+  PagingQueueConfig config_;
+  std::vector<Bucket> buckets_;
+  std::vector<geometry::Cell> cells_;
+  std::vector<BoundedPagingQueue> queues_;
+  std::vector<std::uint32_t> active_;
 };
 
 }  // namespace pcn::daemon

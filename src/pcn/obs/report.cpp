@@ -69,6 +69,15 @@ constexpr HelpEntry kHelpTable[] = {
      "Per-slot DRAIN phase time, microseconds (serialized TSC)."},
     {"daemon.phase.finalize_us",
      "Per-slot FINALIZE phase time, microseconds (serialized TSC)."},
+    {"daemon.phase.enqueue_us",
+     "Per-slot DRAIN enqueue work (intents into cell queues), summed over "
+     "queue shards, microseconds (serialized TSC)."},
+    {"daemon.phase.serve_us",
+     "Per-slot DRAIN serve work (active cell queues against the budget), "
+     "summed over queue shards, microseconds (serialized TSC)."},
+    {"daemon.phase.workload_us",
+     "Per-slot SlotWorkload::generate time inside APPLY, summed over "
+     "terminal shards, microseconds (serialized TSC)."},
     {"daemon.socket.frames_in", "Frames decoded from socket clients."},
     {"daemon.socket.frames_out", "Outcome frames written to socket clients."},
     {"daemon.socket.decode_errors",

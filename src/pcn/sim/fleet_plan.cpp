@@ -24,7 +24,7 @@ std::size_t FleetPlan::intern_table(const Network& net, int threshold,
     if (tables[i].partition == partition) return i;
   }
   const Dimension dim = net.config().dimension;
-  PagingTable table{partition};
+  PagingTable table(partition);
   table.threshold = threshold;
   table.cycles = partition.subarea_count();
   table.cycle_of.assign(static_cast<std::size_t>(threshold) + 1, 0);

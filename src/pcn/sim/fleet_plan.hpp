@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pcn/costs/partition.hpp"
@@ -46,6 +47,8 @@ inline std::int64_t signed_len(std::int64_t value) {
 /// terminal-independent part computed once here, plus the per-call
 /// varint terms added on the hot path.
 struct PagingTable {
+  explicit PagingTable(costs::Partition key) : partition(std::move(key)) {}
+
   costs::Partition partition;      ///< dedupe key (operator==)
   int threshold = 0;
   int cycles = 0;                  ///< subarea count

@@ -2,12 +2,15 @@
 // verdict paths (served / duplicate / dropped / expired / unknown),
 // page accounting identities, and the determinism contract — counters,
 // delay histograms and sampled flight recordings bit-identical at any
-// worker-thread count.
+// worker-thread count.  Also the slot pool (persistent workers, the
+// rethrow path) and the dense queue storage (cell index, active list).
 #include "pcn/daemon/daemon.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -432,18 +435,328 @@ TEST(Pcnd, PhasesAreTimedOncePerSlotAndTheRunOnTheSteadyClock) {
   const obs::MetricsSnapshot snapshot = daemon.metrics_registry().snapshot();
   for (const char* name :
        {"daemon.phase.ingest_us", "daemon.phase.apply_us",
-        "daemon.phase.drain_us", "daemon.phase.finalize_us"}) {
+        "daemon.phase.drain_us", "daemon.phase.finalize_us",
+        "daemon.phase.enqueue_us", "daemon.phase.serve_us"}) {
     SCOPED_TRACE(name);
     const obs::HistogramSample* histogram = snapshot.find_histogram(name);
     ASSERT_NE(histogram, nullptr);
     EXPECT_EQ(histogram->bounds, obs::phase_us_buckets());
     EXPECT_EQ(histogram->count, 12);
   }
+  // Generate time is observed only for slots that ran a workload.
+  const obs::HistogramSample* workload =
+      snapshot.find_histogram("daemon.phase.workload_us");
+  ASSERT_NE(workload, nullptr);
+  EXPECT_EQ(workload->bounds, obs::phase_us_buckets());
+  EXPECT_EQ(workload->count, 0);
   // The whole-run total is a monotonic_ns() difference taken inside the
   // caller's own bracket on the same clock.
   const std::int64_t wall_ns = snapshot.counter_value("daemon.run.wall_ns");
   EXPECT_GT(wall_ns, 0);
   EXPECT_LE(wall_ns, elapsed);
+}
+
+TEST(Pcnd, WorkloadPhaseIsTimedPerSlotWithAWorkload) {
+  Pcnd daemon(base_config());
+  ClosedLoopConfig workload_config;
+  workload_config.terminals = 64;
+  ClosedLoopWorkload workload(workload_config);
+  daemon.run_slots(5, &workload);
+  daemon.run_slots(3);
+  const obs::MetricsSnapshot snapshot = daemon.metrics_registry().snapshot();
+  EXPECT_EQ(snapshot.find_histogram("daemon.phase.workload_us")->count, 5);
+  EXPECT_EQ(snapshot.find_histogram("daemon.phase.drain_us")->count, 8);
+}
+
+/// Throws from generate on one terminal shard; the others run normally.
+class ThrowingWorkload final : public SlotWorkload {
+ public:
+  explicit ThrowingWorkload(int bad_shard) : bad_shard_(bad_shard) {}
+  void generate(int shard, int, std::int64_t, RequestSink&) override {
+    if (shard == bad_shard_) throw std::runtime_error("generate failed");
+  }
+  void on_outcome(std::uint64_t, proto::PageOutcomeKind,
+                  std::int64_t) override {}
+
+ private:
+  int bad_shard_;
+};
+
+TEST(Pcnd, ThrowingWorkloadRethrowsAndThePoolShutsDown) {
+  PcndConfig config = base_config();
+  config.threads = 4;
+  {
+    Pcnd daemon(config);
+    ThrowingWorkload workload(5);
+    EXPECT_THROW(daemon.run_slots(3, &workload), std::runtime_error);
+    // The failed slot never reached FINALIZE.
+    EXPECT_EQ(daemon.now(), 0);
+    // The pool is idle and reusable after the rethrow.
+    EXPECT_THROW(daemon.run_slots(1, &workload), std::runtime_error);
+  }  // ~Pcnd joins the parked workers; reaching here is the check.
+  SUCCEED();
+}
+
+/// Everything a caller can observe of a closed-loop run, driven either in
+/// one run_slots(slots) call or in `slots` run_slots(1) calls.
+std::string stepped_fingerprint(int threads, bool one_call) {
+  PcndConfig config;
+  config.threads = threads;
+  config.collect_outcomes = true;
+  config.capacity = capacity::PagingCapacityModel(1, 1.0);
+  config.queue.max_pending = 6;
+  config.queue.lifetime_slots = 10;
+  config.queue.admission = AdmissionPolicy::kDropOldest;
+  config.sla_delay_slots = 4;
+  config.record_flight = true;
+  config.flight_sample_every = 3;
+  config.plan.mode = DelayPlanConfig::Mode::kFeedback;
+  Pcnd daemon(config);
+
+  ClosedLoopConfig workload_config;
+  workload_config.seed = 7;
+  workload_config.terminals = 500;
+  workload_config.region = 5;
+  workload_config.call_prob = 0.1;
+  workload_config.threshold = 2;
+  ClosedLoopWorkload workload(workload_config);
+  constexpr std::int64_t kSlots = 40;
+  if (one_call) {
+    daemon.run_slots(kSlots, &workload);
+  } else {
+    for (std::int64_t i = 0; i < kSlots; ++i) daemon.run_slots(1, &workload);
+  }
+
+  std::string fingerprint;
+  const obs::MetricsSnapshot snapshot = daemon.metrics_registry().snapshot();
+  for (const auto& counter : snapshot.counters) {
+    if (counter.name == "daemon.run.wall_ns") continue;
+    fingerprint += counter.name + "=" + std::to_string(counter.value) + "\n";
+  }
+  for (const std::int64_t count : daemon.delay_histogram()) {
+    fingerprint += std::to_string(count) + ",";
+  }
+  fingerprint += "\nm=" + std::to_string(daemon.planner()->effective_m()) +
+                 " ewma=" +
+                 std::to_string(daemon.planner()->global_ewma_q16()) + "\n";
+  std::vector<PageOutcomeEvent> outcomes;
+  daemon.drain_outcomes(&outcomes);
+  for (const PageOutcomeEvent& o : outcomes) {
+    fingerprint += std::to_string(o.slot) + ":" + std::to_string(o.page_id) +
+                   ":" + std::to_string(o.terminal_id) + ":" +
+                   std::to_string(static_cast<int>(o.kind)) + ":" +
+                   std::to_string(o.queue_delay_slots) + ":" +
+                   std::to_string(o.queue_depth) + "\n";
+  }
+  fingerprint += obs::to_trace_jsonl({}, daemon.flight_recorder()->merged());
+  return fingerprint;
+}
+
+TEST(Pcnd, SteppedRunsMatchOneCallAtAnyThreadCount) {
+  const std::string reference = stepped_fingerprint(1, /*one_call=*/true);
+  // Sanity: the scenario produced verdicts of more than one kind.
+  EXPECT_NE(reference.find(":0:"), std::string::npos);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(stepped_fingerprint(threads, /*one_call=*/true), reference);
+    EXPECT_EQ(stepped_fingerprint(threads, /*one_call=*/false), reference);
+  }
+}
+
+std::size_t process_thread_count() {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(Pcnd, SlotPoolThreadsPersistAcrossCalls) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  PcndConfig config = base_config();
+  config.threads = 4;
+  // A first pool's life starts any helper thread the runtime keeps (a
+  // sanitizer's background thread, say), so the baseline excludes it.
+  { Pcnd warm(config); }
+  const std::size_t before = process_thread_count();
+  {
+    Pcnd daemon(config);
+    ASSERT_TRUE(daemon.submit(update_request(1, 1, {0, 0})));
+    daemon.run_slots(1);
+    const std::size_t after_one = process_thread_count();
+    EXPECT_EQ(after_one, before + 3);  // threads - 1 parked workers
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_TRUE(daemon.submit(page_request(10 + i, 1)));
+      daemon.run_slots(1);
+    }
+    EXPECT_EQ(process_thread_count(), after_one);
+    EXPECT_EQ(daemon.metrics_registry().snapshot().counter_value(
+                  "daemon.page.served"),
+              500);
+  }
+  EXPECT_EQ(process_thread_count(), before);
+}
+
+TEST(Pcnd, QueueIndexGrowsPastItsInitialCapacity) {
+  // 600 cells over 16 queue shards is ~38 per shard: every shard's index
+  // (16 buckets at first, kept at most half full) rehashes at least twice.
+  // A starved channel keeps each page pending, so every cell's depth
+  // reads back through the grown index.
+  PcndConfig config = base_config();
+  config.capacity = capacity::PagingCapacityModel(1, 1e6);
+  config.queue.lifetime_slots = 1000;
+  Pcnd daemon(config);
+  constexpr std::int64_t kCells = 600;
+  for (std::int64_t i = 0; i < kCells; ++i) {
+    const auto terminal = static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(daemon.submit(update_request(terminal, 1, {i, -2 * i})));
+    ASSERT_TRUE(daemon.submit(page_request(1000 + terminal, terminal)));
+  }
+  daemon.run_slots(2);
+  for (std::int64_t i = 0; i < kCells; ++i) {
+    ASSERT_EQ(daemon.queue_depth({i, -2 * i}), 1) << "cell " << i;
+  }
+  EXPECT_EQ(daemon.metrics_registry().snapshot().counter_value(
+                "daemon.page.queued"),
+            kCells);
+}
+
+TEST(Pcnd, QueueDepthOfANeverSeenCellIsZero) {
+  Pcnd daemon(base_config());
+  EXPECT_EQ(daemon.queue_depth({3, 4}), 0);  // no cell interned anywhere
+  PcndConfig config = base_config();
+  config.capacity = capacity::PagingCapacityModel(1, 1e6);
+  Pcnd starved(config);
+  for (std::int64_t i = 0; i < 64; ++i) {
+    const auto terminal = static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(starved.submit(update_request(terminal, 1, {i, i})));
+    ASSERT_TRUE(starved.submit(page_request(100 + terminal, terminal)));
+  }
+  starved.run_slots(1);
+  EXPECT_EQ(starved.queue_depth({0, 0}), 1);
+  // Every shard now holds interned cells; unseen ones still read 0.
+  for (std::int64_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(starved.queue_depth({i, i + 1}), 0) << "cell " << i;
+  }
+}
+
+TEST(Pcnd, LiveStatsReadZeroOnceEveryQueueHasEmptied) {
+  PcndConfig config = base_config();
+  config.live_stats = true;
+  config.capacity = capacity::PagingCapacityModel(1, 2.0);  // 1 per 2 slots
+  config.queue.groups = 1;
+  Pcnd daemon(config);
+  for (std::uint64_t t = 0; t < 6; ++t) {
+    ASSERT_TRUE(daemon.submit(update_request(t, 1, {0, 0})));
+    ASSERT_TRUE(daemon.submit(update_request(100 + t, 1, {5, -5})));
+    ASSERT_TRUE(daemon.submit(page_request(t, t)));
+    ASSERT_TRUE(daemon.submit(page_request(100 + t, 100 + t)));
+  }
+  daemon.run_slots(1);
+  LiveQueueStats stats = daemon.live_queue_stats();
+  EXPECT_EQ(stats.cells_pending, 2);
+  EXPECT_GT(stats.total_pending, 0);
+  ASSERT_EQ(stats.deepest.size(), 2u);
+
+  daemon.run_slots(40);
+  EXPECT_EQ(daemon.queue_depth({0, 0}), 0);
+  EXPECT_EQ(daemon.queue_depth({5, -5}), 0);
+  stats = daemon.live_queue_stats();
+  EXPECT_EQ(stats.slot, 40);
+  EXPECT_EQ(stats.total_pending, 0);
+  EXPECT_EQ(stats.cells_pending, 0);
+  EXPECT_TRUE(stats.deepest.empty());
+  EXPECT_EQ(stats.max_depth_ever, 6);
+  const obs::MetricsSnapshot snapshot = daemon.metrics_registry().snapshot();
+  EXPECT_EQ(snapshot.find_gauge("daemon.queue.depth_pending")->value, 0.0);
+  EXPECT_EQ(snapshot.find_gauge("daemon.queue.cells_pending")->value, 0.0);
+  EXPECT_EQ(snapshot.counter_value("daemon.page.served"), 12);
+}
+
+TEST(CellQueueTable, InternsDenselyAndFindsThroughGrowth) {
+  PagingQueueConfig config;
+  CellQueueTable table(config);
+  EXPECT_EQ(table.find({0, 0}), CellQueueTable::kNone);
+  std::vector<geometry::Cell> cells;
+  for (std::int64_t q = -20; q < 20; ++q) {
+    for (std::int64_t r = -5; r < 5; ++r) cells.push_back({q, r});
+  }
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ASSERT_EQ(table.intern(cells[i]), i);
+    ASSERT_EQ(table.intern(cells[i]), i);  // idempotent
+  }
+  EXPECT_EQ(table.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ASSERT_EQ(table.find(cells[i]), i);
+    ASSERT_EQ(table.cell(static_cast<std::uint32_t>(i)), cells[i]);
+  }
+  EXPECT_EQ(table.find({1000, 1000}), CellQueueTable::kNone);
+}
+
+TEST(CellQueueTable, ActiveListTracksNonEmptyQueuesInOrder) {
+  PagingQueueConfig config;
+  config.groups = 1;
+  CellQueueTable table(config);
+  const std::uint32_t a = table.intern({1, 0});
+  const std::uint32_t b = table.intern({2, 0});
+  const std::uint32_t c = table.intern({3, 0});
+  PendingPage page;
+  PendingPage evicted;
+  page.terminal_id = 1;
+  table.add(c, page, &evicted);
+  page.terminal_id = 2;
+  table.add(a, page, &evicted);
+  page.terminal_id = 3;
+  table.add(a, page, &evicted);  // already active: not listed twice
+  EXPECT_EQ(table.active(), (std::vector<std::uint32_t>{c, a}));
+  EXPECT_EQ(table.queue(b).size(), 0u);
+
+  // Serve c empty; a keeps one page.  Pruning drops c, keeps a's place.
+  std::vector<ServedPage> served;
+  std::vector<PendingPage> expired;
+  table.queue(c).drain(0, 1, &served, &expired);
+  table.queue(a).drain(0, 1, &served, &expired);
+  table.prune_active();
+  EXPECT_EQ(table.active(), (std::vector<std::uint32_t>{a}));
+  page.terminal_id = 4;
+  table.add(c, page, &evicted);  // re-activated: goes to the back
+  EXPECT_EQ(table.active(), (std::vector<std::uint32_t>{a, c}));
+}
+
+TEST(PageRing, StaysFifoWhileGrowingAcrossTheWrap) {
+  PageRing ring;
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  const auto push = [&] {
+    PendingPage page;
+    page.terminal_id = next_in++;
+    ring.push_back(page, /*limit=*/64);
+  };
+  for (int i = 0; i < 3; ++i) push();
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(ring.front().terminal_id, next_out++);
+    ring.pop_front();
+  }
+  // The head now sits mid-array; pushes wrap, then force growth.
+  for (int i = 0; i < 40; ++i) push();
+  ASSERT_EQ(ring.size(), 41u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    ASSERT_EQ(ring[i].terminal_id, next_out + i);
+  }
+  ring.erase(5);  // drops terminal next_out + 5, keeps the rest in order
+  ASSERT_EQ(ring.size(), 40u);
+  EXPECT_EQ(ring[4].terminal_id, next_out + 4);
+  EXPECT_EQ(ring[5].terminal_id, next_out + 6);
+  while (!ring.empty()) {
+    if (next_out == 7) ++next_out;  // the erased entry
+    ASSERT_EQ(ring.front().terminal_id, next_out++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
 }
 
 TEST(DaemonReport, AccountsAndSerializes) {

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "pcn/capacity/paging_capacity.hpp"
 #include "pcn/common/error.hpp"
@@ -145,6 +147,49 @@ TEST(DelayPlanner, TracksPerCellEwmasIndependently) {
   EXPECT_EQ(planner.cells_tracked(), 2u);
   EXPECT_GT(planner.cell_ewma_q16(hot), planner.cell_ewma_q16(cold));
   EXPECT_EQ(planner.cell_ewma_q16({9, 9}), 0);
+}
+
+TEST(DelayPlanner, FoldIsIndependentOfObserveOrderWithinASlot) {
+  // pcnd's DRAIN hands the planner one sample per served cell in
+  // active-list order, which is reproducible but not sorted.  Within a
+  // slot each cell has its own EWMA and the global fold is a sum, so any
+  // permutation of a slot's samples must leave identical state.
+  struct Sample {
+    geometry::Cell cell;
+    std::int64_t served;
+    std::int64_t delay_sum;
+  };
+  std::vector<Sample> samples;
+  for (std::int64_t i = 0; i < 24; ++i) {
+    samples.push_back({{i % 7, -(i / 7)}, 1 + i % 3, (i * 5) % 11});
+  }
+  std::vector<Sample> permuted = samples;
+  std::reverse(permuted.begin(), permuted.end());
+  std::rotate(permuted.begin(), permuted.begin() + 9, permuted.end());
+  ASSERT_NE(permuted.front().cell, samples.front().cell);
+
+  const DelayPlanConfig config = feedback_config();
+  const capacity::PagingCapacityModel capacity(1, 1.0);
+  DelayFeedbackPlanner forward(config, capacity, /*sla_delay_slots=*/8);
+  DelayFeedbackPlanner shuffled(config, capacity, /*sla_delay_slots=*/8);
+  for (std::int64_t slot = 0; slot < 32; ++slot) {
+    for (const Sample& s : samples) {
+      forward.observe_cell(s.cell, s.served, s.delay_sum + slot % 4);
+    }
+    for (const Sample& s : permuted) {
+      shuffled.observe_cell(s.cell, s.served, s.delay_sum + slot % 4);
+    }
+    forward.end_slot(slot);
+    shuffled.end_slot(slot);
+    ASSERT_EQ(forward.global_ewma_q16(), shuffled.global_ewma_q16());
+    ASSERT_EQ(forward.effective_m(), shuffled.effective_m());
+  }
+  EXPECT_EQ(forward.cells_tracked(), shuffled.cells_tracked());
+  for (const Sample& s : samples) {
+    EXPECT_EQ(forward.cell_ewma_q16(s.cell), shuffled.cell_ewma_q16(s.cell));
+  }
+  // Sanity: the scenario moved the planner off its start.
+  EXPECT_NE(forward.effective_m(), config.m_start);
 }
 
 TEST(DelayPlanner, RejectsBadConfig) {

@@ -740,6 +740,11 @@ void render_top_frame(const pcn::obs::JsonValue& doc, bool clear_screen) {
                 phase->number_or("apply", 0.0),
                 phase->number_or("drain", 0.0),
                 phase->number_or("finalize", 0.0));
+    std::printf("  apply: workload %.1f | drain: enqueue %.1f | serve %.1f "
+                "(summed over shards)\n",
+                phase->number_or("workload", 0.0),
+                phase->number_or("enqueue", 0.0),
+                phase->number_or("serve", 0.0));
   }
 
   if (const pcn::obs::JsonValue* queues = doc.find("queues")) {

@@ -5,8 +5,9 @@
 #   2. TSan build     — the sharded-simulator determinism suite, the
 #      telemetry-identity suite (4 shard workers observing the
 #      sim.phase.* span histograms), the lock-free metrics-registry
-#      concurrency suite, and the admin-introspection snapshot-under-fire
-#      suite (scrapes racing the 4-thread slot loop),
+#      concurrency suite, the admin-introspection snapshot-under-fire
+#      suite (scrapes racing the 4-thread slot loop), and the Pcnd
+#      suite (the slot pool's park/wake, fork-join and rethrow paths),
 #   3. ASan+UBSan     — the wire codec, message framing and fuzz
 #      round-trip suites (truncation/corruption paths must not overread),
 #   4. observability gate — slot-loop throughput with collect_runtime_stats
@@ -89,12 +90,13 @@ echo "== [2/12] TSan: sharded-run determinism + metrics registry =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target test_network_parallel test_telemetry_identity \
-  test_metrics_registry test_admin_introspection
+  test_metrics_registry test_admin_introspection test_daemon
 # The admin-introspection suite reuses the soak scale knobs; TSan's
-# slowdown wants the smoke scenario.
+# slowdown wants the smoke scenario.  Pcnd.* runs the slot pool's
+# park/wake, fork-join and rethrow paths.
 PCN_SOAK_TERMINALS=2000 PCN_SOAK_SLOTS=160 \
   ctest --test-dir build-tsan \
-  -R 'NetworkParallel|TelemetryIdentity|MetricsRegistry|AdminIntrospection' \
+  -R 'NetworkParallel|TelemetryIdentity|MetricsRegistry|AdminIntrospection|Pcnd\.' \
   --output-on-failure -j "$jobs"
 
 echo "== [3/12] ASan+UBSan: wire codec round-trips =="
